@@ -10,7 +10,7 @@ from .errors import (  # noqa: F401
     RootNotFound,
     SamplingExhausted,
 )
-from .funcs import FunctionInstance, polynomial, random_polynomial  # noqa: F401
+from .funcs import FunctionInstance, polynomial  # noqa: F401
 from .jets import IndexSet, Jet, JetBatch  # noqa: F401
 from .quadrature import integrate  # noqa: F401
 from .rootfind import find_root  # noqa: F401

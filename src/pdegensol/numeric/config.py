@@ -17,7 +17,6 @@ class NumericConfig:
     nest_limit: int = 6
     # implicit-root solving
     root_tol: float = 1e-12
-    root_max_iter: int = 100
     root_span: float = 8.0
     degenerate_tol: float = 1e-10
     # poison guards (runtime); the verifier pre-scan uses wider margins

@@ -85,32 +85,6 @@ def polynomial(name: str, arity: int, coeff_map: Dict[Monomial, float], **kw) ->
     return FunctionInstance(name, arity, items, **kw)
 
 
-def random_polynomial(
-    rng: np.random.Generator,
-    name: str,
-    arity: int,
-    degree: int,
-    coeff_scale: float,
-    offset: float = 0.0,
-    sin_amp: float = 0.0,
-) -> FunctionInstance:
-    """Draw a polynomial with all monomials of total degree 1..degree, each
-    coefficient uniform in [-coeff_scale, coeff_scale], plus the offset as
-    the constant term.  Draw order is fixed: monomials in sorted order."""
-    monos = sorted(monomial_exponents(arity, degree))
-    cmap: Dict[Monomial, float] = {(0,) * arity: offset}
-    for m in monos:
-        cmap[m] = float(rng.uniform(-coeff_scale, coeff_scale))
-    kw = {}
-    if sin_amp:
-        kw = {
-            "sin_amp": sin_amp,
-            "sin_freq": float(rng.uniform(0.5, 2.0)),
-            "sin_phase": float(rng.uniform(0.0, 2 * math.pi)),
-        }
-    return polynomial(name, arity, cmap, **kw)
-
-
 def monomial_exponents(arity: int, degree: int):
     """All exponent tuples with 1 <= total degree <= degree."""
     if arity == 0:

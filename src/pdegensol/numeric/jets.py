@@ -15,6 +15,10 @@ All derivative propagation is table-driven:
 * integrals with variable limits use the boundary tables built here and
   the quadrature of the integrand's own jet.
 
+Value-only (K=1) batches skip the Leibniz and Faa di Bruno tables: mul
+returns the plain product a * b, bit-identical to the table-driven result,
+and the compose and chain loops over rows k >= 1 are empty.
+
 Failures poison affected columns with NaN; callers record causes."""
 
 from __future__ import annotations
@@ -132,10 +136,31 @@ class IndexSet:
         self._mul_starts = starts.astype(np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.K == 1:
+            # the one table entry is 1.0 * a[0] * b[0], an exact identity
+            return a * b
         prod = a[self._mul_i] * b[self._mul_j]
         if self._mul_c.size:
             prod = prod * self._mul_c
         return np.add.reduceat(prod, self._mul_starts, axis=0)
+
+    # -- set partitions of derivative positions -----------------------------
+
+    def _partition_rows(self, pos: Index, labels: Sequence[int]):
+        """For each partition of the position labels whose every block is a
+        multi-index in the set, the block rows in partition order."""
+        for part in set_partitions(labels):
+            rows = []
+            for block in part:
+                mi = [0] * len(self.variables)
+                for p in block:
+                    mi[pos[p]] += 1
+                r = self.pos.get(tuple(mi))
+                if r is None:
+                    break
+                rows.append(r)
+            else:
+                yield tuple(rows)
 
     # -- Faa di Bruno for unary composition --------------------------------
 
@@ -144,25 +169,10 @@ class IndexSet:
         table: List[List[Tuple[int, Tuple[int, ...]]]] = []
         for alpha in self.indices:
             pos = self._positions[alpha]
-            entries: List[Tuple[int, Tuple[int, ...]]] = []
-            if not pos:
-                table.append(entries)
-                continue
-            for part in set_partitions(range(len(pos))):
-                rows = []
-                ok = True
-                for block in part:
-                    mi = [0] * len(self.variables)
-                    for p in block:
-                        mi[pos[p]] += 1
-                    r = self.pos.get(tuple(mi))
-                    if r is None:
-                        ok = False
-                        break
-                    rows.append(r)
-                if ok:
-                    entries.append((len(part), tuple(sorted(rows))))
-            table.append(entries)
+            table.append([
+                (len(rows), tuple(sorted(rows)))
+                for rows in self._partition_rows(pos, range(len(pos)))
+            ] if pos else [])
         self._compose_table = table
 
     def compose(self, phis: List[np.ndarray], u: np.ndarray) -> np.ndarray:
@@ -193,21 +203,8 @@ class IndexSet:
             pos = self._positions[alpha]
             entries = []
             if pos:
-                for part in set_partitions(range(len(pos))):
-                    rows = []
-                    ok = True
-                    for block in part:
-                        mi = [0] * len(self.variables)
-                        for p in block:
-                            mi[pos[p]] += 1
-                        r = self.pos.get(tuple(mi))
-                        if r is None:
-                            ok = False
-                            break
-                        rows.append(r)
-                    if not ok:
-                        continue
-                    for assign in itertools.product(range(m), repeat=len(part)):
+                for rows in self._partition_rows(pos, range(len(pos))):
+                    for assign in itertools.product(range(m), repeat=len(rows)):
                         gamma = [0] * m
                         for a in assign:
                             gamma[a] += 1
@@ -263,20 +260,8 @@ class IndexSet:
                     beta_row = self.pos.get(tuple(beta))
                     if beta_row is None:
                         continue
-                    for part in set_partitions(S):
-                        rows = []
-                        ok = True
-                        for block in part:
-                            mi = [0] * len(self.variables)
-                            for p in block:
-                                mi[pos[p]] += 1
-                            r = self.pos.get(tuple(mi))
-                            if r is None:
-                                ok = False
-                                break
-                            rows.append(r)
-                        if ok:
-                            entries.append((len(part) - 1, beta_row, tuple(rows)))
+                    for rows in self._partition_rows(pos, S):
+                        entries.append((len(rows) - 1, beta_row, rows))
             table.append(entries)
         self._boundary_table = table
         self.max_endpoint_order = max(

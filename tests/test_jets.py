@@ -14,10 +14,12 @@ from pdegensol.numeric.jets import (
     Jet,
     JetBatch,
     jb_add,
+    jb_cos,
     jb_exp,
     jb_ln,
     jb_mul,
     jb_reciprocal,
+    jb_sin,
     jb_sqrt,
     set_partitions,
 )
@@ -192,3 +194,79 @@ def test_jet_accessors():
     assert j.d(t=1, x=1) == pytest.approx(COEF_A[(1, 1)])
     with pytest.raises(KeyError):
         j.partial((3, 3))
+
+
+# -- value-only (K=1) route: bit-identical to row 0 of the full tables ------
+
+K4 = IndexSet(("t", "x"), {(1, 1)})
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 2.5e300])
+
+
+def _rows(seed):
+    """K4 rows: two finite random columns, then NaN-poisoned, +-inf, +-0 and
+    huge columns in a seed-dependent order."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-2.0, 2.0, (K4.K, 2 + _SPECIAL.size))
+    data[:, 2:] = rng.permutation(_SPECIAL)
+    return data
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
+def test_k1_mul_is_row0_of_full_mul():
+    a, b = _rows(1), _rows(2)
+    vo = K4.value_only()
+    with np.errstate(all="ignore"):
+        full = K4.mul(a, b)
+        one = vo.mul(a[:1], b[:1])
+        assert _same(one, a[:1] * b[:1])
+    assert one.shape == (1, a.shape[1])
+    assert _same(full[0], one[0])
+
+
+def test_k1_compose_is_row0_of_full_compose():
+    u = _rows(3)
+    phis = [_rows(4)[0], _rows(5)[0], _rows(6)[0]]
+    with np.errstate(all="ignore"):
+        full = K4.compose(phis, u)
+        one = K4.value_only().compose(phis[:1], u[:1])
+    assert one.shape == (1, u.shape[1])
+    assert _same(full[0], one[0])
+
+
+def test_k1_chain_is_row0_of_full_chain():
+    us = [_rows(7), _rows(8)]
+    f_at = {g: _rows(10 + i)[0] for i, g in enumerate(K4.needed_gammas(2))}
+    vo = K4.value_only()
+    assert vo.needed_gammas(2) == [(0, 0)]
+    with np.errstate(all="ignore"):
+        full = K4.chain(f_at, us)
+        one = vo.chain({(0, 0): f_at[(0, 0)]}, [u[:1] for u in us])
+    assert one.shape == (1, us[0].shape[1])
+    assert _same(full[0], one[0])
+
+
+@pytest.mark.parametrize("op", [jb_exp, jb_sin, jb_cos,
+                                lambda a: jb_ln(a, 1e-13)[0],
+                                lambda a: jb_sqrt(a, 1e-13)[0],
+                                lambda a: jb_reciprocal(a, 1e-13)[0],
+                                lambda a: jb_mul(a, a)])
+def test_k1_unary_ops_match_row0(op):
+    jb = JetBatch(K4, _rows(20))
+    with np.errstate(all="ignore"):
+        full = op(jb)
+        one = op(jb.value_rows())
+    assert one.iset.K == 1
+    assert _same(full.data[0], one.data[0])
+
+
+def test_compose_table_third_order_one_variable():
+    # d^3 phi(u) = phi''' u'^3 + 3 phi'' u' u'' + phi' u'''          [DERIVED]
+    iset = IndexSet(("t",), {(3,)})
+    got = sorted(iset._compose_table[iset.pos[(3,)]])
+    u1, u2, u3 = (iset.pos[(k,)] for k in (1, 2, 3))
+    assert got == sorted([(1, (u3,)), (2, (u1, u2)), (2, (u1, u2)),
+                          (2, (u1, u2)), (3, (u1, u1, u1))])
