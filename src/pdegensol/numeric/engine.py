@@ -7,6 +7,26 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
+Two things bound the work and the working set of that loop, and both leave
+every output bit as it was:
+
+* Scenario constants stay width 1.  A subtree with no free name bound in
+  the current environment (only constants, parameters and base points) and
+  no integral or root inside has the same value in every column.  Inside
+  quadrature and root callbacks it is a (K, 1) jet, evaluated once per
+  top-level context and broadcast by numpy, instead of a full-width jet
+  rebuilt on every panel batch or root-body call.  The top level
+  evaluates its tree once and hoists nothing.  Results that leave a
+  node's own arithmetic (integral limits, integrand and root-body values,
+  let-bound values) are copied out to full width.
+* Leaf integrands are evaluated in slices.  An integrand with no integral
+  or root inside computes each quadrature node on its own, so a callback
+  with more than _LEAF_SLICE nodes evaluates them a slice at a time into
+  one output array, and each slice's temporaries stay in the cache.  Other
+  integrands are evaluated whole: the row sums of the inner quadrature and
+  the seeds of an implicit root both depend on how many columns share a
+  call, so slicing them would move output bits.
+
 Failures do not raise mid-batch: offending columns are poisoned with NaN
 and the cause is recorded on the context.  The single-point wrapper
 eval_jet() raises the typed error for the first recorded cause."""
@@ -31,6 +51,10 @@ from .jets import IndexSet, Jet, JetBatch, jb_cos, jb_div, jb_exp, jb_ln, jb_mul
 from .quadrature import adaptive_gk_batched
 from . import rootfind
 
+# nodes per slice of a leaf-integrand callback: 8 K was slower on 4.4's
+# samples, 16 K to 128 K about equal
+_LEAF_SLICE = 32768
+
 _ERROR_BY_KIND = {
     "domain": DomainError,
     "quad": QuadratureNonconvergence,
@@ -41,7 +65,13 @@ _ERROR_BY_KIND = {
 
 class EvalContext:
     """Evaluation state: index set, scenario bindings, config, guard scale,
-    nesting depth, shared cause recorder and root-seed cache."""
+    nesting depth, shared cause recorder, root-seed cache and the cache of
+    width-1 scenario constants.  hoist is on in the contexts of quadrature
+    and root callbacks, which evaluate the same tree many times, and off at
+    the top level and inside a constant being hoisted, which evaluate it
+    once."""
+
+    hoist = False
 
     def __init__(
         self,
@@ -57,10 +87,12 @@ class EvalContext:
         self.guard_scale = guard_scale
         self.depth = 0
         if _shared is None:
-            _shared = {"causes": [], "root_cache": {}, "stats": {"quad_panels": 0, "root_solves": 0}}
+            _shared = {"causes": [], "root_cache": {}, "hoisted": {},
+                       "stats": {"quad_panels": 0, "root_solves": 0}}
         self._shared = _shared
         self.causes: List[Tuple[str, str]] = _shared["causes"]
         self.root_cache: Dict[int, tuple] = _shared["root_cache"]
+        self.hoisted: Dict[tuple, tuple] = _shared["hoisted"]
         self.stats: Dict[str, int] = _shared["stats"]
 
     @property
@@ -78,16 +110,27 @@ class EvalContext:
     def value_context(self) -> "EvalContext":
         sub = EvalContext(self.iset.value_only(), self.scenario, self.cfg, self.guard_scale, self._shared)
         sub.depth = self.depth
+        sub.hoist = True
         return sub
 
     def child(self) -> "EvalContext":
         sub = EvalContext(self.iset, self.scenario, self.cfg, self.guard_scale, self._shared)
         sub.depth = self.depth + 1
+        sub.hoist = True
         return sub
 
-    def record(self, kind: str, mask, node) -> None:
+    def record(self, kind: str, mask, node, width: int = 0) -> None:
+        """Note a cause for the masked columns of node.  A mask narrower than
+        width comes from width-1 operands and stands for all width columns."""
+        n = 0
+        if mask is not None:
+            n = int(np.count_nonzero(mask))
+            if mask.size < width:
+                n *= width
+        self._note(kind, node, n)
+
+    def _note(self, kind: str, node, n: int) -> None:
         if len(self.causes) < 64:
-            n = int(np.count_nonzero(mask)) if mask is not None else 0
             self.causes.append((kind, f"{X.to_text(node)[:80]} ({n} column(s))"))
 
     def first_error(self) -> EvalError:
@@ -97,33 +140,59 @@ class EvalContext:
         return DomainError("non-finite result (overflow)")
 
 
-# symbolic dummy-derivative caches, keyed by node identity (nodes pinned)
-_DDERIV: Dict[int, tuple] = {}
+class _SliceTally(EvalContext):
+    """Context for one leaf integrand evaluated in slices.  It sums each
+    (kind, node) cause over the slices; flush() then notes each once, as
+    one evaluation of the whole batch would."""
+
+    def __init__(self, ctx: EvalContext):
+        super().__init__(ctx.iset, ctx.scenario, ctx.cfg, ctx.guard_scale, ctx._shared)
+        self.depth = ctx.depth
+        self.hoist = ctx.hoist
+        self.tally: Dict[tuple, list] = {}
+
+    def _note(self, kind: str, node, n: int) -> None:
+        self.tally.setdefault((kind, id(node)), [kind, node, 0])[2] += n
+
+    def flush(self) -> None:
+        for kind, node, n in self.tally.values():
+            EvalContext._note(self, kind, node, n)
+
+
+class _NodeCache:
+    """build(node), computed once per node.  Keyed by node identity; each
+    entry pins its node, so a recycled id cannot alias a dead node."""
+
+    def __init__(self, build):
+        self._build = build
+        self._ents: Dict[int, tuple] = {}
+
+    def __call__(self, e: X.Expr):
+        ent = self._ents.get(id(e))
+        if ent is None or ent[0] is not e:
+            ent = self._ents[id(e)] = (e, self._build(e))
+        return ent[1]
+
+
+# symbolic dummy derivatives of an integral, by order (0: the integrand)
+_dderivs = _NodeCache(lambda e: {0: e.integrand})
+_root_derivative = _NodeCache(lambda e: X.simplify(X.differentiate(e.body, e.dummy)))
+# no Integral or RootOf inside: the node's value at a column depends on that
+# column alone, whatever batch it is evaluated in
+_is_leaf = _NodeCache(
+    lambda e: not isinstance(e, (X.Integral, X.RootOf))
+    and all(_is_leaf(c) for c in e.children())
+)
 
 
 def _dummy_derivative(e, k: int) -> X.Expr:
     """The k-th symbolic derivative of e.integrand with respect to e.dummy
     (k=0 is the integrand itself), cached per node."""
-    ent = _DDERIV.get(id(e))
-    if ent is None or ent[0] is not e:
-        ent = (e, {0: e.integrand})
-        _DDERIV[id(e)] = ent
-    ds = ent[1]
+    ds = _dderivs(e)
     while k not in ds:
         top = max(ds)
         ds[top + 1] = X.simplify(X.differentiate(ds[top], e.dummy))
     return ds[k]
-
-
-_ROOT_DERIV: Dict[int, tuple] = {}
-
-
-def _root_derivative(e) -> X.Expr:
-    ent = _ROOT_DERIV.get(id(e))
-    if ent is None or ent[0] is not e:
-        ent = (e, X.simplify(X.differentiate(e.body, e.dummy)))
-        _ROOT_DERIV[id(e)] = ent
-    return ent[1]
 
 
 def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int) -> JetBatch:
@@ -133,13 +202,42 @@ def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int
     return _ev(e, env, ctx, ncols, {})
 
 
+def _widen(jb: JetBatch, n: int) -> JetBatch:
+    """jb at width n: a width-1 constant is copied out to n columns."""
+    if jb.data.shape[1] == n:
+        return jb
+    return JetBatch(jb.iset, np.repeat(jb.data, n, axis=1))
+
+
 def _ev(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     got = memo.get(id(e))
     if got is not None:
         return got
-    r = _ev_node(e, env, ctx, n, memo)
+    if ctx.hoist and e._free.isdisjoint(env) and _is_leaf(e):
+        r = _hoisted(e, env, ctx, n, memo)
+    else:
+        r = _ev_node(e, env, ctx, n, memo)
     memo[id(e)] = r
     return r
+
+
+def _hoisted(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
+    """A scenario constant: e's value at width 1, evaluated once per
+    top-level context and index set, with no hoisting inside.  A constant
+    whose width-1 evaluation records a cause or is non-finite is evaluated
+    on every call instead, so its causes are recorded per call with the
+    caller's column count."""
+    key = (id(e), ctx.iset)
+    ent = ctx.hoisted.get(key)
+    if ent is None or ent[0] is not e:
+        probe = EvalContext(ctx.iset, ctx.scenario, ctx.cfg, ctx.guard_scale)
+        jb = _ev_node(e, {}, probe, 1, {})
+        if probe.causes or not np.isfinite(jb.data).all():
+            jb = None
+        ent = ctx.hoisted[key] = (e, jb)
+    if ent[1] is None:
+        return _ev_node(e, env, ctx, n, memo)
+    return ent[1]
 
 
 def _const(ctx: EvalContext, n: int, value) -> JetBatch:
@@ -171,7 +269,11 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if isinstance(e, X.Add):
         out = _ev(e.terms[0], env, ctx, n, memo).data.copy()
         for t in e.terms[1:]:
-            out += _ev(t, env, ctx, n, memo).data
+            d = _ev(t, env, ctx, n, memo).data
+            if d.shape[1] > out.shape[1]:
+                out = out + d
+            else:
+                out += d
         return JetBatch(iset, out)
     if isinstance(e, X.Mul):
         acc = _ev(e.factors[0], env, ctx, n, memo)
@@ -183,7 +285,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         b = _ev(e.den, env, ctx, n, memo)
         out, bad = jb_div(a, b, ctx.den_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Pow):
         return _ev_pow(e, env, ctx, n, memo)
@@ -192,12 +294,12 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if isinstance(e, X.Ln):
         out, bad = jb_ln(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Sqrt):
         out, bad = jb_sqrt(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Sin):
         return jb_sin(_ev(e.arg, env, ctx, n, memo))
@@ -206,7 +308,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if isinstance(e, X.Tan):
         out, bad = jb_tan(_ev(e.arg, env, ctx, n, memo), ctx.tan_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.FuncApp):
         return _ev_funcapp(e, env, ctx, n, memo)
@@ -215,7 +317,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if isinstance(e, X.RootOf):
         return _ev_rootof(e, env, ctx, n, memo)
     if isinstance(e, X.Let):
-        bound = _ev(e.bound, env, ctx, n, memo)
+        bound = _widen(_ev(e.bound, env, ctx, n, memo), n)
         env2 = dict(env)
         env2[e.name] = bound
         # fresh memo: the body sees a different environment
@@ -229,18 +331,20 @@ def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if nexp is not None:
         out, bad = jb_powi(base, nexp, ctx.den_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     ejb = _ev(e.exponent, env, ctx, n, memo)
+    if base.n < ejb.n:
+        base = _widen(base, ejb.n)
     if not ejb.data[1:].any():
         # constant exponent (per column): real power, positive base
         out, bad = jb_powc(base, ejb.data[0], ctx.pos_guard)
         if bad is not None:
-            ctx.record("domain", bad, e)
+            ctx.record("domain", bad, e, n)
         return out
     ln_b, bad = jb_ln(base, ctx.pos_guard)
     if bad is not None:
-        ctx.record("domain", bad, e)
+        ctx.record("domain", bad, e, n)
     return jb_exp(jb_mul(ejb, ln_b))
 
 
@@ -266,16 +370,29 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
             f"quadrature nesting deeper than {ctx.cfg.nest_limit}"
         )
     iset = ctx.iset
-    lo_jb = _ev(e.lower, env, ctx, n, memo)
-    up_jb = _ev(e.upper, env, ctx, n, memo)
+    lo_jb = _widen(_ev(e.lower, env, ctx, n, memo), n)
+    up_jb = _widen(_ev(e.upper, env, ctx, n, memo), n)
     subctx = ctx.child()
     names = [nm for nm in env if nm in e.integrand._free]
+    leaf = _is_leaf(e.integrand)
 
-    def integrand_eval(xs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def at_nodes(xs: np.ndarray, cols: np.ndarray, c: EvalContext) -> JetBatch:
         ienv = {nm: env[nm].gather(cols) for nm in names}
         ienv[e.dummy] = JetBatch.constants(iset, xs)
+        return _ev(e.integrand, ienv, c, xs.size, {})
+
+    def integrand_eval(xs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         ctx.stats["quad_panels"] += 1
-        return _ev(e.integrand, ienv, subctx, xs.size, {}).data
+        m = xs.size
+        if not leaf or m <= _LEAF_SLICE:
+            return _widen(at_nodes(xs, cols, subctx), m).data
+        out = np.empty((iset.K, m))
+        tally = _SliceTally(subctx)
+        for s in range(0, m, _LEAF_SLICE):
+            sl = slice(s, s + _LEAF_SLICE)
+            out[:, sl] = at_nodes(xs[sl], cols[sl], tally).data
+        tally.flush()
+        return out
 
     def on_noconv(mask):
         ctx.record("quad", mask, e)
@@ -308,12 +425,12 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
     def fval(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         en = {nm: jb.gather(cols) for nm, jb in venv.items()}
         en[e.dummy] = JetBatch.constants(viset, zs)
-        return _ev(e.body, en, vctx, zs.size, {}).data[0]
+        return _widen(_ev(e.body, en, vctx, zs.size, {}), zs.size).data[0]
 
     def fprime(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         en = {nm: jb.gather(cols) for nm, jb in venv.items()}
         en[e.dummy] = JetBatch.constants(viset, zs)
-        return _ev(body_z, en, vctx, zs.size, {}).data[0]
+        return _widen(_ev(body_z, en, vctx, zs.size, {}), zs.size).data[0]
 
     ctx.stats["root_solves"] += 1
     seeds = _root_seeds(e, ctx, n)
@@ -334,8 +451,8 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
     for _ in range(3):
         en = {nm: jb for nm, jb in env.items() if nm in e.body._free}
         en[e.dummy] = z
-        F = _ev(e.body, en, ctx, n, {})
-        Fz = _ev(body_z, en, ctx, n, {})
+        F = _widen(_ev(e.body, en, ctx, n, {}), n)
+        Fz = _widen(_ev(body_z, en, ctx, n, {}), n)
         degen = np.isfinite(Fz.data[0]) & (np.abs(Fz.data[0]) < ctx.cfg.degenerate_tol)
         if degen.any():
             ctx.record("degenerate", degen, e)

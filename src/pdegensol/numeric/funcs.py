@@ -8,7 +8,7 @@ bookkeeping trivial and integrate cleanly under the adaptive quadrature."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -25,6 +25,8 @@ class FunctionInstance:
     sin_amp: float = 0.0
     sin_freq: float = 1.0
     sin_phase: float = 0.0
+    # order tuple -> _live_terms(orders); derived from the fields above
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for exps, _ in self.coeffs:
@@ -33,51 +35,65 @@ class FunctionInstance:
         if self.sin_amp != 0.0 and self.arity != 1:
             raise ValueError("sinusoid term is for one-argument functions only")
 
+    def _live_terms(self, orders: Tuple[int, ...]) -> tuple:
+        """The monomials that survive differentiation by orders, in
+        coefficient order: (coefficient times falling factorials,
+        ((arg, power), ...)) with powers >= 1."""
+        terms = self._compiled.get(orders)
+        if terms is None:
+            live = []
+            for exps, c in self.coeffs:
+                coef = c
+                factors = []
+                for i, (e, o) in enumerate(zip(exps, orders)):
+                    if o > e:
+                        break
+                    # falling factorial e*(e-1)*...*(e-o+1)
+                    for j in range(o):
+                        coef *= e - j
+                    if e > o:
+                        factors.append((i, e - o))
+                else:
+                    if coef != 0.0:
+                        live.append((coef, tuple(factors)))
+            terms = self._compiled[orders] = tuple(live)
+        return terms
+
     def eval(self, orders: Tuple[int, ...], args) -> np.ndarray:
         """Partial derivative of the given per-slot orders, at args (arrays
         broadcast together)."""
         args = [np.asarray(a, dtype=float) for a in args]
-        out = np.zeros(np.broadcast(*args).shape if len(args) > 1 else args[0].shape)
-        for exps, c in self.coeffs:
+        shape = np.broadcast(*args).shape if len(args) > 1 else args[0].shape
+        out = None
+        for coef, factors in self._live_terms(tuple(orders)):
             term = None
-            coef = c
-            dead = False
-            for e, o, a in zip(exps, orders, args):
-                if o > e:
-                    dead = True
-                    break
-                # falling factorial e*(e-1)*...*(e-o+1)
-                for j in range(o):
-                    coef *= e - j
-                p = e - o
-                if p > 0:
-                    f = a**p
-                    term = f if term is None else term * f
-            if dead or coef == 0.0:
-                continue
-            out = out + (coef if term is None else coef * term)
+            for i, p in factors:
+                f = args[i] if p == 1 else args[i] ** p
+                term = f if term is None else term * f
+            if term is None:
+                term = coef
+            elif isinstance(term, np.ndarray) and term is not args[factors[0][0]]:
+                np.multiply(coef, term, out=term)  # a fresh product
+            else:
+                term = coef * term
+            if out is None:
+                # 0.0 + term, as the sum used to start from zeros: a -0.0
+                # term comes out +0.0; reuse the fresh product when it
+                # already has the full shape
+                fresh = isinstance(term, np.ndarray) and term.shape == shape
+                out = np.add(0.0, term, out=term if fresh else np.empty(shape))
+            else:
+                out += term
+        if out is None:
+            out = np.zeros(shape)
         if self.sin_amp != 0.0:
             k = orders[0]
             w = self.sin_freq
-            out = out + self.sin_amp * w**k * np.sin(w * args[0] + self.sin_phase + k * math.pi / 2.0)
+            out += self.sin_amp * w**k * np.sin(w * args[0] + self.sin_phase + k * math.pi / 2.0)
         return out
 
     def __call__(self, *args) -> np.ndarray:
         return self.eval((0,) * self.arity, args)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arity": self.arity,
-            "coeffs": [[list(e), c] for e, c in self.coeffs],
-            "sin": [self.sin_amp, self.sin_freq, self.sin_phase],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionInstance":
-        coeffs = tuple((tuple(int(k) for k in e), float(c)) for e, c in d["coeffs"])
-        amp, freq, phase = d.get("sin", [0.0, 1.0, 0.0])
-        return cls(d["name"], int(d["arity"]), coeffs, amp, freq, phase)
 
 
 def polynomial(name: str, arity: int, coeff_map: Dict[Monomial, float], **kw) -> FunctionInstance:

@@ -226,8 +226,10 @@ class IndexSet:
         """f_at[gamma] = outer derivative values at the argument values."""
         m = len(us)
         table = self.chain_table(m)
-        out = np.empty_like(us[0])
-        out[0] = f_at[(0,) * m]
+        f0 = f_at[(0,) * m]
+        # sized from f_at: an argument may be a width-1 constant
+        out = np.empty((self.K,) + np.shape(f0))
+        out[0] = f0
         for k in range(1, self.K):
             acc = None
             for gamma, blocks in table[k]:

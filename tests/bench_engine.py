@@ -1,0 +1,90 @@
+"""Engine microbenchmarks (pytest-benchmark), outside the tier-1 suite.
+
+The tier-1 run collects test_*.py only, so these run on request:
+
+    PYTHONPATH=src python -m pytest tests/bench_engine.py --benchmark-only
+
+They time the kernels of the integrand and root-body hot loop on fixed
+inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
+leaf-integrand callback on 1e6 quadrature nodes, and one batch of 3.7's
+root body.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from pdegensol import expr_core as X
+from pdegensol.catalog import get_family
+from pdegensol.expr_core import Env, parse
+from pdegensol.numeric import EvalContext, IndexSet, JetBatch, NumericConfig, eval_batch, polynomial
+from pdegensol.numeric import engine
+from pdegensol.verifier import _scenario_rng, draw_scenario
+
+from conftest import StubScenario, mk_poly1
+
+CFG = NumericConfig()
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6], ids=["N1e3", "N1e6"])
+def test_function_instance_eval(benchmark, n):
+    fi = polynomial("g", 2, {(0, 0): 0.3, (1, 0): -0.7, (0, 1): 1.1, (2, 0): 0.2,
+                             (1, 1): -0.4, (0, 2): 0.6, (3, 0): 0.05, (1, 2): -0.1})
+    rs = np.random.default_rng(1)
+    args = [rs.uniform(0.2, 1.2, n), rs.uniform(0.2, 1.2, n)]
+    benchmark(fi.eval, (1, 0), args)
+
+
+def test_leaf_integrand_callback(benchmark, monkeypatch):
+    # a leaf integrand: a 2-argument stand-in, a parameter-only factor and
+    # an exponential, on 1e6 nodes at K=4
+    scn = StubScenario(("t", "x"), parameters={"a": 0.7, "c": -0.3},
+                       functions={"F": mk_poly1("F", {0: 0.5, 1: 0.4, 2: -0.2}),
+                                  "k": polynomial("k", 2, {(1, 0): 0.9, (1, 1): 0.3, (0, 2): -0.5})},
+                       base_points={"p0": 0.0})
+    e = parse("int(eta, base(p0), x, k(t, eta)*exp(-a*eta*t)/(1 + c^2) + F(eta))",
+              Env(variables=("t", "x"), parameters=("a", "c"),
+                  functions={"F": 1, "k": 2}))
+    iset = IndexSet(("t", "x"), [(1, 0), (0, 1), (1, 1)])
+    cols = 100
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, cols)) for v in ("t", "x")}
+    callbacks = []
+
+    def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
+        callbacks.append(evalfn)
+        return np.zeros((K, lo.size)), np.zeros(lo.size)
+
+    monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
+    eval_batch(e, env, EvalContext(iset, scn, CFG), cols)
+    integrand_eval = callbacks[0]
+    m = 10**6
+    xs = np.linspace(0.0, 1.0, m)
+    owner = np.repeat(np.arange(cols), m // cols)
+    out = benchmark(integrand_eval, xs, owner)
+    assert out.shape == (iset.K, m) and np.isfinite(out).all()
+
+
+def test_root_body_batch(benchmark, monkeypatch):
+    # one value-only batch of 3.7's root body (an adaptive integral in Z)
+    # over 200 columns, as the bracketing and bisection loop calls it
+    fam = get_family("3.7")
+    scn = draw_scenario(fam, _scenario_rng(1, "3.7", 0), 0, 2, CFG)
+    root = next(r for r in X.walk(fam.solution) if isinstance(r, X.RootOf))
+    iset = IndexSet(fam.variables, [(0, 0)])
+    cols = 200
+    rs = np.random.default_rng(2)
+    env = {"t": JetBatch.variable(iset, "t", rs.uniform(0.2, 1.2, cols)),
+           "eta": JetBatch.constants(iset, rs.uniform(0.2, 1.2, cols))}
+    fvals = []
+    solve = engine.rootfind.bracket_bisect_newton
+
+    def keep(fval, fprime, seeds, cfg):
+        fvals.append(fval)
+        return solve(fval, fprime, seeds, cfg)
+
+    monkeypatch.setattr(engine.rootfind, "bracket_bisect_newton", keep)
+    eval_batch(root, env, EvalContext(iset, scn, CFG), cols)
+    zs = rs.uniform(0.5, 1.5, cols)
+    out = benchmark(fvals[0], zs, np.arange(cols))
+    assert out.shape == (cols,) and np.isfinite(out).all()

@@ -8,10 +8,13 @@ difference quotients vs jet algebra).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pdegensol import expr_core as X
+from pdegensol.catalog import get_family
 from pdegensol.expr_core import Env, parse
 from pdegensol.numeric import (
     DomainError,
@@ -25,6 +28,8 @@ from pdegensol.numeric import (
     eval_jet,
     polynomial,
 )
+from pdegensol.numeric import engine
+from pdegensol.verifier import _scenario_rng, draw_scenario
 
 from conftest import central_diff, mk_poly1, richardson
 
@@ -237,3 +242,179 @@ def test_two_argument_function_partials(scn_tx):
     assert j.value == pytest.approx(val, rel=1e-13)
     # d/dx of the whole thing: -0.3 + 0.7 t + 0.7
     assert j.d(x=1) == pytest.approx(-0.3 + 0.7 * t + 0.7, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Scenario-constant hoisting and leaf-integrand slicing leave every bit as it
+# was.  Bits are compared on .view(np.int64), so signed zeros and NaN
+# payloads count.
+
+
+def _same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _kinds_and_counts(ctx):
+    return [(kind, int(re.search(r"\((\d+) column", detail).group(1)))
+            for kind, detail in ctx.causes]
+
+
+def _isets(variables):
+    nv = len(variables)
+    unit = [tuple(int(i == v) for i in range(nv)) for v in range(nv)]
+    k4 = IndexSet(variables, [tuple(a + b for a, b in zip(unit[0], u))
+                              for u in unit])
+    return [k4.value_only(), k4]
+
+
+def _hoisted_vs_full_width(e, env, scn, iset, n):
+    """e evaluated twice in one context (the second pass reuses the
+    constants the first hoisted inside callbacks), and e with every Param
+    replaced by a Var bound to a full-width constant jet (which the engine
+    never hoists), evaluated twice likewise."""
+    names = sorted({p.name for p in X.walk(e) if isinstance(p, X.Param)})
+    e2 = X.substitute(e, {nm: X.Var("par_" + nm) for nm in names})
+    env2 = dict(env)
+    for nm in names:
+        env2["par_" + nm] = JetBatch.constants(
+            iset, np.full(n, scn.parameters[nm]))
+    ctx, ctx2 = EvalContext(iset, scn, CFG), EvalContext(iset, scn, CFG)
+    with np.errstate(all="ignore"):
+        first = eval_batch(e, env, ctx, n)
+        first2 = eval_batch(e2, env2, ctx2, n)
+        got = eval_batch(e, env, ctx, n)
+        want = eval_batch(e2, env2, ctx2, n)
+    assert names and e2 != e
+    assert _same_bits(first.data, first2.data)
+    assert _same_bits(got.data, first.data)
+    return got, want, ctx, ctx2
+
+
+def _draw(fid, npts=2):
+    fam = get_family(fid)
+    return fam, draw_scenario(fam, _scenario_rng(1, fid, 0), 0, npts, CFG)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_hoisting_bit_identical_on_root_body(k):
+    fam, scn = _draw("3.7")
+    body = next(r for r in X.walk(fam.solution)
+                if isinstance(r, X.RootOf)).body
+    iset = _isets(fam.variables)[k]
+    n = 6
+    rs = np.random.default_rng(3)
+    env = {"t": JetBatch.variable(iset, "t", rs.uniform(0.2, 1.2, n)),
+           "eta": JetBatch.constants(iset, rs.uniform(0.2, 1.2, n)),
+           "Z": JetBatch.constants(iset, rs.uniform(0.5, 1.5, n))}
+    got, want, ctx, ctx2 = _hoisted_vs_full_width(body, env, scn, iset, n)
+    assert got.data.shape == (iset.K, n)
+    assert _same_bits(got.data, want.data)
+    assert np.isfinite(got.data).all()
+    # the parameter-only subtrees really were evaluated at width 1
+    assert any(isinstance(jb, JetBatch) and jb.data.shape == (iset.K, 1)
+               for _, jb in ctx.hoisted.values())
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_hoisting_bit_identical_on_let(k):
+    fam, scn = _draw("5.2")
+    assert isinstance(fam.solution, X.Let)
+    iset = _isets(fam.variables)[k]
+    rs = np.random.default_rng(5)
+    n = 3
+    env = {v: JetBatch.variable(iset, v, rs.uniform(0.2, 1.2, n))
+           for v in fam.variables}
+    got, want, _, _ = _hoisted_vs_full_width(fam.solution, env, scn, iset, n)
+    assert got.data.shape == (iset.K, n)
+    assert _same_bits(got.data, want.data)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k):
+    # a < den_guard: inside the integrand, both the Div with a width-1
+    # denominator and the fully constant Div record one domain cause over
+    # all 15 nodes of each of the five columns (the K=4 boundary terms add
+    # more causes at the upper limit)
+    scn_tx.parameters["a"] = 0.25 * CFG.den_guard
+    e = parse("int(xi, base(p0), x, xi/a + 1/a + t)",
+              Env(variables=("t", "x"), parameters=("a",)))
+    iset = _isets(("t", "x"))[k]
+    n = 5
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    got, want, ctx, ctx2 = _hoisted_vs_full_width(e, env, scn_tx, iset, n)
+    assert _same_bits(got.data, want.data)
+    assert np.isnan(got.data).all()
+    causes = _kinds_and_counts(ctx)
+    assert causes == _kinds_and_counts(ctx2)
+    assert causes[:2] == [("domain", 15 * n)] * 2
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_hoisting_constant_base_variable_exponent(scn_tx, k):
+    # in the integrand, a width-1 base under a per-column exponent takes
+    # the exponent's width; the constant inner integral is evaluated at
+    # full width, never hoisted
+    scn_tx.parameters["a"] = 1.7
+    e = parse("int(eta, base(p0), x, a^eta + 2^(t*eta) + (a + 1)^(a*t)"
+              " + eta*int(xi, base(p1), a, xi^2))",
+              Env(variables=("t", "x"), parameters=("a",)))
+    iset = _isets(("t", "x"))[k]
+    n = 5
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    got, want, ctx, ctx2 = _hoisted_vs_full_width(e, env, scn_tx, iset, n)
+    assert got.data.shape == (iset.K, n) and np.isfinite(got.data).all()
+    assert _same_bits(got.data, want.data)
+    assert not ctx.causes and not ctx2.causes
+    assert ctx.hoisted and not any(
+        isinstance(node, (X.Integral, X.RootOf)) for node, _ in ctx.hoisted.values())
+
+
+_NESTED = ("int(xi, base(p0), x, F(xi)*exp(-a*xi)"
+           " * int(eta, base(p1), xi, G(eta)*t + eta^2 + a))")
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_leaf_slicing_bit_identical(scn_tx, monkeypatch, k):
+    scn_tx.parameters["a"] = 0.7
+    scn_tx.functions["F"] = mk_poly1("F", {0: 0.3, 1: -0.8, 2: 0.4},
+                                     sin_amp=0.2, sin_freq=1.3)
+    scn_tx.functions["G"] = mk_poly1("G", {1: 1.1, 3: -0.2})
+    e = parse(_NESTED, Env(variables=("t", "x"), parameters=("a",),
+                           functions={"F": 1, "G": 1}))
+    iset = _isets(("t", "x"))[k]
+    n = 5
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    out = {}
+    for size in (7, 10**9):
+        monkeypatch.setattr(engine, "_LEAF_SLICE", size)
+        ctx = EvalContext(iset, scn_tx, CFG)
+        out[size] = eval_batch(e, env, ctx, n).data
+    assert np.isfinite(out[7]).all()
+    assert _same_bits(out[7], out[10**9])
+
+
+def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
+    # ln(eta - 0.3) is poisoned on part of the inner range: sliced, each
+    # inner quadrature call still notes one domain cause over its nodes
+    e = parse("int(xi, base(p0), x, int(eta, base(p1), xi, ln(eta - 3/10)))",
+              Env(variables=("t", "x")))
+    iset = _isets(("t", "x"))[1]
+    n = 4
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    out, causes = {}, {}
+    for size in (7, 10**9):
+        monkeypatch.setattr(engine, "_LEAF_SLICE", size)
+        ctx = EvalContext(iset, scn_tx, CFG)
+        with np.errstate(all="ignore"):
+            out[size] = eval_batch(e, env, ctx, n).data
+        causes[size] = ctx.causes
+    assert _same_bits(out[7], out[10**9])
+    assert causes[7] == causes[10**9]
+    assert causes[7] and {k for k, _ in causes[7]} == {"domain"}
