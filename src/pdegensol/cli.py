@@ -2,7 +2,9 @@
 
     pdegensol list                  families and their shapes
     pdegensol show 3.7              one family in full
-    pdegensol verify 3.1 3.2 ...    randomized verification (default: all)
+    pdegensol verify 3.1 3.2 ...    randomized verification (default: all),
+                                    one worker thread per core, each
+                                    family's line printed as it finishes
     pdegensol sample 3.1 --grid t=0.2:1.2:9 --grid x=0.2:1.2:9 -o w.csv
 
 Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id,
@@ -15,14 +17,16 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import family_ids, get_family
 from .expr_core import to_text
-from .numeric import EvalContext, IndexSet, JetBatch, NumericConfig, eval_batch
-from .verifier import draw_scenario, verify_family, HINTS, SamplingHints
+from .numeric import NumericConfig
+from .verifier import (HINTS, SamplingHints, _famkey, draw_scenario,
+                       solution_values, verify_catalog)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="pin a parameter (repeatable)")
     vp.add_argument("--probe-branches", action="store_true",
                     help="also try the mirrored implicit-root branch")
-    vp.add_argument("--threads", type=int, default=None)
     vp.add_argument("--json", dest="as_json", nargs="?", const=True,
                     default=None, metavar="PATH",
                     help="emit report records as JSON, to PATH if given")
@@ -150,19 +153,20 @@ def _cmd_verify(args) -> int:
     if args.tol is not None:
         kw["tol_rel"] = args.tol
 
-    threads = args.threads
-    if threads is None:
-        import os
-
-        threads = int(os.environ.get("PDEGENSOL_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(verify_family, fid, **kw) for fid in ids]
-            reports = [f.result() for f in futs]
-    else:
-        reports = [verify_family(fid, **kw) for fid in ids]
+    t0 = time.monotonic()
+    reports = []
+    for r in verify_catalog(ids, **kw):
+        reports.append(r)
+        if args.as_json:
+            continue
+        print(f"{r.family:6} {r.verdict:13} "
+              f"max rel {r.max_rel_residual:9.2e}  "
+              f"xcheck {r.xcheck_max_dev:9.2e}  "
+              f"({r.wall_time_s:6.2f}s)", flush=True)
+        for note in r.notes:
+            print(f"       note: {note}")
+        if r.branch_probe:
+            print(f"       branch probe: {r.branch_probe}")
 
     if args.as_json:
         payload = json.dumps([r.to_dict() for r in reports], indent=2,
@@ -173,18 +177,11 @@ def _cmd_verify(args) -> int:
             with open(args.as_json, "w") as fh:
                 fh.write(payload + "\n")
     else:
-        for r in reports:
-            stamp = (f"{r.family:6} {r.verdict:13} "
-                     f"max rel {r.max_rel_residual:9.2e}  "
-                     f"xcheck {r.xcheck_max_dev:9.2e}  "
-                     f"({r.wall_time_s:6.2f}s)")
-            print(stamp)
-            for note in r.notes:
-                print(f"       note: {note}")
-            if r.branch_probe:
-                print(f"       branch probe: {r.branch_probe}")
         npass = sum(r.verdict == "PASS" for r in reports)
-        print(f"{npass}/{len(reports)} PASS")
+        worst = max((r.max_rel_residual for r in reports),
+                    default=float("nan"))
+        print(f"{npass}/{len(reports)} PASS, worst rel {worst:.2e}, "
+              f"{time.monotonic() - t0:.1f}s total")
 
     verdicts = {r.verdict for r in reports}
     if "FAIL" in verdicts:
@@ -231,21 +228,12 @@ def _cmd_sample(args) -> int:
     axes = _parse_grid(args.grid, fam)
     cfg = NumericConfig()
     rng = np.random.default_rng(
-        np.random.SeedSequence([args.seed,
-                                int.from_bytes(fam.family_id.encode(),
-                                               "big")]))
+        np.random.SeedSequence([args.seed, _famkey(fam.family_id)]))
     scn = draw_scenario(fam, rng, 0, 8, cfg)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    nv = len(fam.variables)
-    iset0 = IndexSet(fam.variables, {(0,) * nv})
-    env = {
-        v: JetBatch.variable(iset0, v, pts[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
-    ctx = EvalContext(iset0, scn, cfg)
-    w = eval_batch(fam.solution, env, ctx, len(pts)).value()
+    w = solution_values(fam, scn, pts, cfg)
     n_bad = int((~np.isfinite(w)).sum())
 
     scen_doc = {

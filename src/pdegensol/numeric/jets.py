@@ -331,24 +331,12 @@ class JetBatch:
         return JetBatch(vo, self.data[0:1])
 
 
-def jb_add(a: JetBatch, b: JetBatch) -> JetBatch:
-    return JetBatch(a.iset, a.data + b.data)
-
-
 def jb_sub(a: JetBatch, b: JetBatch) -> JetBatch:
     return JetBatch(a.iset, a.data - b.data)
 
 
-def jb_neg(a: JetBatch) -> JetBatch:
-    return JetBatch(a.iset, -a.data)
-
-
 def jb_mul(a: JetBatch, b: JetBatch) -> JetBatch:
     return JetBatch(a.iset, a.iset.mul(a.data, b.data))
-
-
-def jb_scale(a: JetBatch, c: float) -> JetBatch:
-    return JetBatch(a.iset, a.data * c)
 
 
 def jb_reciprocal(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:

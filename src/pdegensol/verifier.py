@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -276,21 +276,27 @@ def draw_function(rng: np.random.Generator, name: str, arity: int,
     return polynomial(name, arity, cmap, **kw)
 
 
+def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
+                    cfg: NumericConfig,
+                    guard_scale: float = 1.0) -> np.ndarray:
+    """Value-only evaluation of the solution at the rows of `pts`."""
+    iset0 = IndexSet(fam.variables, {(0,) * len(fam.variables)})
+    env = {
+        v: JetBatch.variable(iset0, v, pts[:, i].copy())
+        for i, v in enumerate(fam.variables)
+    }
+    ctx = EvalContext(iset0, scn, cfg, guard_scale=guard_scale)
+    return eval_batch(fam.solution, env, ctx, len(pts)).value()
+
+
 def _prescan_ok(fam: PdeFamily, scn: Scenario, cfg: NumericConfig) -> bool:
     """Value-only evaluation with widened guards; rejects scenarios whose
     points sit near a domain wall anywhere along the integration paths."""
-    nv = len(fam.variables)
-    iset0 = IndexSet(fam.variables, {(0,) * nv})
-    env = {
-        v: JetBatch.variable(iset0, v, scn.points[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
-    ctx = EvalContext(iset0, scn, cfg, guard_scale=PRESCAN_GUARD)
     try:
-        jb = eval_batch(fam.solution, env, ctx, len(scn.points))
+        w = solution_values(fam, scn, scn.points, cfg, PRESCAN_GUARD)
     except Exception:
         return False
-    return bool(np.isfinite(jb.data).all())
+    return bool(np.isfinite(w).all())
 
 
 def draw_scenario(
@@ -338,9 +344,13 @@ def draw_scenario(
 
 
 def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
-              cfg: NumericConfig) -> Tuple[np.ndarray, np.ndarray, IndexSet]:
-    """Relative PDE residual at each point, plus the solution jet rows.
-    Poisoned points come back NaN in both."""
+              cfg: NumericConfig, solution: Optional[X.Expr] = None,
+              ) -> Tuple[np.ndarray, np.ndarray, IndexSet, set]:
+    """Relative PDE residual at each point of `solution` (default: the
+    family's), the solution jet rows, their index set, and the cause kinds
+    the solution's evaluation recorded.  A point comes back NaN in the jet
+    rows when its jet is not finite, and NaN in the residual when its jet
+    or any PDE term is not finite."""
     n = len(pts)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
     env = {
@@ -349,9 +359,10 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     }
     ctx = EvalContext(iset, scn, cfg)
     # poisoned columns propagate NaN through every jet op; silence the
-    # resulting invalid/overflow chatter, the bad mask below disposes of them
+    # resulting invalid/overflow chatter, the masks below dispose of them
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        jb = eval_batch(fam.solution, env, ctx, n)
+        jb = eval_batch(fam.solution if solution is None else solution,
+                        env, ctx, n)
 
         iset0 = iset.value_only()
         env0 = {
@@ -366,11 +377,11 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
         ])
         scale = np.max(np.abs(vals), axis=0)
         rel = np.abs(vals.sum(axis=0)) / np.maximum(scale, RESIDUAL_FLOOR)
-    bad = ~np.isfinite(jb.data).all(axis=0) | ~np.isfinite(vals).all(axis=0)
-    rel[bad] = np.nan
+    jet_ok = np.isfinite(jb.data).all(axis=0)
+    rel[~jet_ok | ~np.isfinite(vals).all(axis=0)] = np.nan
     data = jb.data.copy()
-    data[:, bad] = np.nan
-    return rel, data, iset
+    data[:, ~jet_ok] = np.nan
+    return rel, data, iset, {k for k, _ in ctx.causes}
 
 
 def _chunk_sizes(fam: PdeFamily, n: int) -> List[slice]:
@@ -401,7 +412,7 @@ def scenario_residuals(
         parts_rel = []
         parts_data = []
         for sl in _chunk_sizes(fam, len(pts)):
-            r, d, iset = _eval_rel(fam, scn, pts[sl], cfg)
+            r, d, iset, _ = _eval_rel(fam, scn, pts[sl], cfg)
             parts_rel.append(r)
             parts_data.append(d)
         rel_t = np.concatenate(parts_rel)
@@ -499,18 +510,10 @@ def crosscheck_derivatives(
         maxcols = 250
     else:
         maxcols = nall
-    nv = len(fam.variables)
-    iset0 = IndexSet(fam.variables, {(0,) * nv})
     w = np.empty(nall)
     for s in range(0, nall, max(maxcols, 1)):
         sl = slice(s, min(s + maxcols, nall))
-        chunk = allpts[sl]
-        env = {
-            v: JetBatch.variable(iset0, v, chunk[:, i].copy())
-            for i, v in enumerate(fam.variables)
-        }
-        ctx = EvalContext(iset0, scn, tight)
-        w[sl] = eval_batch(fam.solution, env, ctx, len(chunk)).value()
+        w[sl] = solution_values(fam, scn, allpts[sl], tight)
     if not np.isfinite(w).all():
         return float("inf")
 
@@ -774,31 +777,10 @@ def _probe_alternate_branch(fam, cfg, seed, n_points, hints, base_shift,
                             param_overrides)
     except SamplingExhausted:
         return {"branch": "negated_seed", "status": "sampling_exhausted"}
-    n = len(scn.points)
-    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
-    env = {
-        v: JetBatch.variable(iset, v, scn.points[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
-    ctx = EvalContext(iset, scn, cfg)
-    jb = eval_batch(alt, env, ctx, n)
-    if not np.isfinite(jb.data).all():
-        kinds = {k for k, _ in ctx.causes}
+    rel, data, _, kinds = _eval_rel(fam, scn, scn.points, cfg, alt)
+    if not np.isfinite(data).all():
         status = "no_root" if "root" in kinds else "unevaluable"
         return {"branch": "negated_seed", "status": status}
-    iset0 = iset.value_only()
-    env0 = {
-        v: JetBatch.constants(iset0, scn.points[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
-    for name, mi in fam.deriv_orders.items():
-        env0[name] = JetBatch.constants(iset0, jb.data[iset.pos[mi]])
-    ctx0 = EvalContext(iset0, scn, cfg)
-    vals = np.array([
-        eval_batch(term, env0, ctx0, n).value() for term in fam.pde_terms
-    ])
-    scale = np.max(np.abs(vals), axis=0)
-    rel = np.abs(vals.sum(axis=0)) / np.maximum(scale, RESIDUAL_FLOOR)
     mx = float(np.nanmax(rel))
     tol = FAMILY_TOL.get(fam.family_id, DEFAULT_TOL_REL)
     return {
@@ -811,19 +793,15 @@ def _probe_alternate_branch(fam, cfg, seed, n_points, hints, base_shift,
 def verify_catalog(
     ids: Optional[List[str]] = None,
     cfg: Optional[NumericConfig] = None,
-    threads: Optional[int] = None,
     **kw,
-) -> List[VerificationReport]:
-    """Verify several families (default: the whole catalog), optionally in
-    a thread pool (PDEGENSOL_THREADS or the threads argument).  Reports come
-    back in the order the ids were given regardless of completion order."""
-    ids = list(ids) if ids else family_ids()
-    if threads is None:
-        threads = int(os.environ.get("PDEGENSOL_THREADS", "1"))
-    if threads <= 1:
-        return [verify_family(i, cfg, **kw) for i in ids]
-    from concurrent.futures import ThreadPoolExecutor
+) -> Iterator[VerificationReport]:
+    """Verify several families (default: the whole catalog) in a thread
+    pool with one worker per core.  Reports are yielded in the order the
+    ids were given, each as soon as it and the ones before it are done."""
+    # imported here: at module level it adds 10-15 ms to `import pdegensol`
+    from concurrent import futures
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(verify_family, i, cfg, **kw) for i in ids]
-        return [f.result() for f in futs]
+    ids = list(ids) if ids else family_ids()
+    workers = min(len(ids), os.cpu_count() or 1)
+    with futures.ThreadPoolExecutor(max_workers=workers) as ex:
+        yield from ex.map(lambda fid: verify_family(fid, cfg, **kw), ids)

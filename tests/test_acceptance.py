@@ -62,7 +62,7 @@ def _report(capsys, num, name, ok, detail):
 def full_run():
     """One production-settings verification of the whole catalog."""
     t0 = time.monotonic()
-    reports = verify_catalog(None, n_scenarios=5, n_points=20, seed=1)
+    reports = list(verify_catalog(None, n_scenarios=5, n_points=20, seed=1))
     wall = time.monotonic() - t0
     return reports, wall
 

@@ -13,7 +13,6 @@ from pdegensol.numeric.jets import (
     IndexSet,
     Jet,
     JetBatch,
-    jb_add,
     jb_cos,
     jb_exp,
     jb_ln,
@@ -109,19 +108,6 @@ def test_jet_product_matches_polynomial_product():
     jab = jb_mul(ja, jb)
     ref = _poly_jet(iset, _prod_coeffs(COEF_A, COEF_B), tv, xv)
     assert np.allclose(jab.data, ref.data, rtol=1e-13, atol=1e-13)
-
-
-def test_jet_add():
-    iset = IndexSet(("t", "x"), {(2, 1)})
-    tv = np.array([0.4])
-    xv = np.array([0.8])
-    ja = _poly_jet(iset, COEF_A, tv, xv)
-    jb = _poly_jet(iset, COEF_B, tv, xv)
-    s = jb_add(ja, jb)
-    both = {k: COEF_A.get(k, 0) + COEF_B.get(k, 0)
-            for k in set(COEF_A) | set(COEF_B)}
-    ref = _poly_jet(iset, both, tv, xv)
-    assert np.allclose(s.data, ref.data, rtol=1e-13)
 
 
 def _fd_rows(fn, iset, tv, xv, h=1e-4):

@@ -5,11 +5,13 @@ production settings.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from pdegensol.catalog import get_family
+import pdegensol.verifier as verifier
+from pdegensol.catalog import _build_family, _parse_records, get_family
 from pdegensol.numeric import NumericConfig, SamplingExhausted
 from pdegensol.verifier import (
     FAMILY_TOL,
@@ -19,6 +21,7 @@ from pdegensol.verifier import (
     Scenario,
     VerificationReport,
     _negate_seeds,
+    _probe_alternate_branch,
     crosscheck_derivatives,
     draw_function,
     draw_scenario,
@@ -193,13 +196,57 @@ def test_verify_catalog_orders_results():
     assert [r.family for r in rs] == ids
 
 
-def test_verify_catalog_threaded_matches_serial():
+def test_verify_catalog_pooled_matches_serial():
     ids = ["3.1", "3.4", "6.1"]
-    serial = [r.to_json() for r in
+    serial = [verify_family(i, n_scenarios=1, n_points=4).to_json()
+              for i in ids]
+    pooled = [r.to_json() for r in
               verify_catalog(ids, n_scenarios=1, n_points=4)]
-    threaded = [r.to_json() for r in
-                verify_catalog(ids, threads=3, n_scenarios=1, n_points=4)]
-    assert serial == threaded
+    assert pooled == serial
+
+
+def test_verify_catalog_streams_reports(monkeypatch):
+    # the last family cannot finish until the first report has arrived, so
+    # a verify_catalog that collects every report before yielding times out
+    ids = ["3.1", "3.2", "3.4"]
+    first_arrived = threading.Event()
+
+    def stub(fid, cfg=None, **kw):
+        if fid == ids[-1] and not first_arrived.wait(timeout=10):
+            raise TimeoutError("no report yielded before the last family")
+        return fid
+
+    monkeypatch.setattr(verifier, "verify_family", stub)
+    got = []
+    for fid in verify_catalog(ids):
+        got.append(fid)
+        first_arrived.set()
+    assert got == ids
+
+
+def _one_record_family(pde, sol):
+    rec = next(_parse_records(
+        f"[probe]\nvars: t x\npde: {pde}\nsol: {sol}\n"))
+    return _build_family(rec)
+
+
+@pytest.mark.parametrize("pde, sol, status", [
+    ("w_t - w_x", "rootof(Z, ln(Z) - x - t, 1)", "no_root"),
+    ("w_t - w_x", "rootof(Z, Z^2 - x - t, 1)", "solves"),
+    ("w_t - w_x", "rootof(Z, Z - 20 - x, 1)", "sampling_exhausted"),
+    # the PDE terms are not finite at x < 0.5 while the solution jet is:
+    # the probe judges the remaining points instead of giving up
+    ("w_t - w_x + ln(x - 0.5) - ln(x - 0.5)", "rootof(Z, Z^2 - x - t, 1)",
+     "solves"),
+    # only the positive root sqrt(t + x) solves this one
+    ("2*w_t*sqrt(t + x) - 1", "rootof(Z, Z^2 - x - t, 1)",
+     "does_not_solve"),
+])
+def test_probe_status(pde, sol, status):
+    fam = _one_record_family(pde, sol)
+    probe = _probe_alternate_branch(fam, CFG, 1, 6, SamplingHints(), 0.0,
+                                    None)
+    assert probe["status"] == status
 
 
 def test_family_tolerances_registered():
