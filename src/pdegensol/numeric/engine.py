@@ -7,9 +7,16 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Two things bound the work and the working set of that loop, and both leave
-every output bit as it was:
+Three things bound the work and the working set of that loop, and all of
+them leave every output bit as it was:
 
+* Equal subtrees are evaluated once.  Every tree the engine evaluates (the
+  argument of eval_batch, a root body, the symbolic derivatives of root
+  bodies and integrands) is hash-consed on first use, so structurally
+  equal subtrees become one object, which the id-keyed memo evaluates once
+  per scope.  A node's value depends only on the node, the environment and
+  the batch, and each memo covers one of each.  RootOf nodes are never
+  merged: each keeps its own root-seed cache entry.
 * Scenario constants stay width 1.  A subtree with no free name bound in
   the current environment (only constants, parameters and base points) and
   no integral or root inside has the same value in every column.  Inside
@@ -20,12 +27,13 @@ every output bit as it was:
   node's own arithmetic (integral limits, integrand and root-body values,
   let-bound values) are copied out to full width.
 * Leaf integrands are evaluated in slices.  An integrand with no integral
-  or root inside computes each quadrature node on its own, so a callback
-  with more than _LEAF_SLICE nodes evaluates them a slice at a time into
-  one output array, and each slice's temporaries stay in the cache.  Other
-  integrands are evaluated whole: the row sums of the inner quadrature and
-  the seeds of an implicit root both depend on how many columns share a
-  call, so slicing them would move output bits.
+  or root inside computes each quadrature node on its own, so its callback
+  takes the round's panels and builds their nodes and owner columns
+  _LEAF_SLICE // 15 panels at a time, into one output array; each slice's
+  temporaries stay in the cache.  Other integrands are evaluated whole:
+  the row sums of the inner quadrature and the seeds of an implicit root
+  both depend on how many columns share a call, so slicing them would
+  move output bits.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN
 and the cause is recorded on the context.  The single-point wrapper
@@ -48,11 +56,11 @@ from .errors import (
     RootNotFound,
 )
 from .jets import IndexSet, Jet, JetBatch, jb_cos, jb_div, jb_exp, jb_ln, jb_mul, jb_powc, jb_powi, jb_sin, jb_sqrt, jb_sub, jb_tan
-from .quadrature import adaptive_gk_batched
+from .quadrature import Panels, adaptive_gk_batched
 from . import rootfind
 
-# nodes per slice of a leaf-integrand callback: 8 K was slower on 4.4's
-# samples, 16 K to 128 K about equal
+# nodes per slice of a leaf-integrand callback, rounded down to whole
+# 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
 _LEAF_SLICE = 32768
 
 _ERROR_BY_KIND = {
@@ -174,9 +182,49 @@ class _NodeCache:
         return ent[1]
 
 
+# canonical node per structure: class, literal fields and the identities
+# of the (canonical) children.  The keys hold ids only; each canonical node
+# is pinned as a value, and so are its children through its fields.
+_canon: Dict[tuple, X.Expr] = {}
+
+
+def _intern(e: X.Expr) -> X.Expr:
+    """e rebuilt bottom-up so that structurally equal subtrees are one
+    object, which the id-keyed memo of _ev then evaluates once per scope.
+    A RootOf is returned as it is, body and all: root_cache is keyed by
+    its identity, and two equal roots in different callback scopes must
+    keep their own warm-start seeds."""
+    if isinstance(e, X.RootOf):
+        return e
+    key = [e.__class__]
+    kids = {}
+    same = True
+    for f in e._fields:
+        v = getattr(e, f)
+        if isinstance(v, X.Expr):
+            c = _interned(v)
+            key.append(id(c))
+            same = same and c is v
+        elif isinstance(v, tuple) and v and isinstance(v[0], X.Expr):
+            c = tuple(_interned(a) for a in v)
+            key.append(tuple(map(id, c)))
+            same = same and all(a is b for a, b in zip(c, v))
+        else:
+            c = v
+            key.append((type(v), v))
+        kids[f] = c
+    key = tuple(key)
+    got = _canon.get(key)
+    if got is None:
+        got = _canon[key] = e if same else e.__class__(**kids)
+    return got
+
+
+_interned = _NodeCache(_intern)
 # symbolic dummy derivatives of an integral, by order (0: the integrand)
 _dderivs = _NodeCache(lambda e: {0: e.integrand})
-_root_derivative = _NodeCache(lambda e: X.simplify(X.differentiate(e.body, e.dummy)))
+_root_derivative = _NodeCache(
+    lambda e: _interned(X.simplify(X.differentiate(e.body, e.dummy))))
 # no Integral or RootOf inside: the node's value at a column depends on that
 # column alone, whatever batch it is evaluated in
 _is_leaf = _NodeCache(
@@ -191,7 +239,7 @@ def _dummy_derivative(e, k: int) -> X.Expr:
     ds = _dderivs(e)
     while k not in ds:
         top = max(ds)
-        ds[top + 1] = X.simplify(X.differentiate(ds[top], e.dummy))
+        ds[top + 1] = _interned(X.simplify(X.differentiate(ds[top], e.dummy)))
     return ds[k]
 
 
@@ -199,7 +247,7 @@ def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int
     """Evaluate e to a JetBatch of width ncols.  env binds variable names
     to jets of that width; parameters/functions/base points come from
     ctx.scenario."""
-    return _ev(e, env, ctx, ncols, {})
+    return _ev(_interned(e), env, ctx, ncols, {})
 
 
 def _widen(jb: JetBatch, n: int) -> JetBatch:
@@ -359,7 +407,10 @@ def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetB
     f_at = {}
     for gamma in ctx.iset.needed_gammas(m):
         orders = tuple(o + g for o, g in zip(e.orders, gamma))
-        f_at[gamma] = np.broadcast_to(np.asarray(inst.eval(orders, vals), dtype=float), (n,))
+        f = np.asarray(inst.eval(orders, vals), dtype=float)
+        # narrower than n: a width-1 hoisted argument or a constant
+        # derivative; chain() only reads f_at
+        f_at[gamma] = f if f.size == n else np.broadcast_to(f, (n,))
     data = ctx.iset.chain(f_at, [a.data for a in args])
     return JetBatch(ctx.iset, data)
 
@@ -376,21 +427,24 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     names = [nm for nm in env if nm in e.integrand._free]
     leaf = _is_leaf(e.integrand)
 
-    def at_nodes(xs: np.ndarray, cols: np.ndarray, c: EvalContext) -> JetBatch:
-        ienv = {nm: env[nm].gather(cols) for nm in names}
+    def at_nodes(panels: Panels, lo: int, hi: int, c: EvalContext) -> JetBatch:
+        xs = panels.nodes(lo, hi)
+        owners = panels.owners(lo, hi)
+        ienv = {nm: env[nm].gather(owners) for nm in names}
         ienv[e.dummy] = JetBatch.constants(iset, xs)
         return _ev(e.integrand, ienv, c, xs.size, {})
 
-    def integrand_eval(xs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def integrand_eval(panels: Panels, cols: np.ndarray) -> np.ndarray:
         ctx.stats["quad_panels"] += 1
-        m = xs.size
-        if not leaf or m <= _LEAF_SLICE:
-            return _widen(at_nodes(xs, cols, subctx), m).data
+        m, npan = panels.size, cols.size
+        step = max(1, _LEAF_SLICE // 15)
+        if not leaf or npan <= step:
+            return _widen(at_nodes(panels, 0, npan, subctx), m).data
         out = np.empty((iset.K, m))
         tally = _SliceTally(subctx)
-        for s in range(0, m, _LEAF_SLICE):
-            sl = slice(s, s + _LEAF_SLICE)
-            out[:, sl] = at_nodes(xs[sl], cols[sl], tally).data
+        for lo in range(0, npan, step):
+            hi = min(lo + step, npan)
+            out[:, 15 * lo:15 * hi] = at_nodes(panels, lo, hi, tally).data
         tally.flush()
         return out
 
@@ -417,15 +471,16 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
 
 def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     iset = ctx.iset
+    body = _interned(e.body)
     body_z = _root_derivative(e)
     vctx = ctx.value_context()
     viset = vctx.iset
-    venv = {nm: jb.value_rows() for nm, jb in env.items() if nm in e.body._free}
+    venv = {nm: jb.value_rows() for nm, jb in env.items() if nm in body._free}
 
     def fval(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         en = {nm: jb.gather(cols) for nm, jb in venv.items()}
         en[e.dummy] = JetBatch.constants(viset, zs)
-        return _widen(_ev(e.body, en, vctx, zs.size, {}), zs.size).data[0]
+        return _widen(_ev(body, en, vctx, zs.size, {}), zs.size).data[0]
 
     def fprime(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         en = {nm: jb.gather(cols) for nm, jb in venv.items()}
@@ -449,9 +504,9 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
 
     z = JetBatch.constants(iset, roots)
     for _ in range(3):
-        en = {nm: jb for nm, jb in env.items() if nm in e.body._free}
+        en = {nm: jb for nm, jb in env.items() if nm in body._free}
         en[e.dummy] = z
-        F = _widen(_ev(e.body, en, ctx, n, {}), n)
+        F = _widen(_ev(body, en, ctx, n, {}), n)
         Fz = _widen(_ev(body_z, en, ctx, n, {}), n)
         degen = np.isfinite(Fz.data[0]) & (np.abs(Fz.data[0]) < ctx.cfg.degenerate_tol)
         if degen.any():

@@ -3,7 +3,13 @@
 The batched driver integrates N independent one-dimensional integrals at
 once, each carrying K jet components; one evaluator call handles the union
 of all pending subintervals, so nested integrals turn into a handful of
-large array evaluations rather than deep scalar recursion.
+large array evaluations rather than deep scalar recursion.  The evaluator
+receives the round as Panels (centres, half-widths and owner columns), not
+as a node array: it builds the nodes and owners itself, all at once or a
+range of panels at a time, so the driver never holds the round's nodes.
+The driver's two reductions per round, I15 and I7, stay whole-batch
+matrix products written exactly as below: their last bits depend on how
+they are computed, and I7 decides convergence.
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
@@ -61,8 +67,31 @@ GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
 
+class Panels:
+    """The panels of one adaptive round: centres mid, half-widths half and
+    owner columns cols, one entry per panel.  size is the node count, 15
+    per panel.  Nodes and owners are built on request for any range of
+    panels, so a caller can hold a slice of them at a time."""
+
+    def __init__(self, mid: np.ndarray, half: np.ndarray, cols: np.ndarray):
+        self.mid = mid
+        self.half = half
+        self.cols = cols
+        self.size = 15 * cols.size
+
+    def nodes(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """The flat nodes of panels lo..hi, 15 per panel in NODES order."""
+        xs = np.multiply.outer(self.half[lo:hi], NODES)
+        xs += self.mid[lo:hi, None]
+        return xs.ravel()
+
+    def owners(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """The owner column of each node of panels lo..hi."""
+        return np.repeat(self.cols[lo:hi], 15)
+
+
 def adaptive_gk_batched(
-    evalfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    evalfn: Callable[[Panels, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     K: int,
@@ -71,11 +100,12 @@ def adaptive_gk_batched(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate N integrals with K jet rows each.
 
-    evalfn(xs, cols) evaluates the integrand jets at the flat node array xs,
-    where cols[i] names the integral (column) each node belongs to; it
-    returns (K, len(xs)).  Returns (data (K, N), err (N,)).  Columns that
-    fail (NaN from the integrand, or no convergence before the depth limit)
-    come back NaN; nonconvergent columns are also reported via on_noconv.
+    Each round calls evalfn(panels, cols) once with the round's Panels,
+    where cols[j] names the integral (column) that panel j belongs to; it
+    returns the integrand jets at panels.nodes(), shape (K, panels.size).
+    Returns (data (K, N), err (N,)).  Columns that fail (NaN from the
+    integrand, or no convergence before the depth limit) come back NaN;
+    nonconvergent columns are also reported via on_noconv.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -95,36 +125,41 @@ def adaptive_gk_batched(
     live = (ib - ia) > 0.0
     cols, ia, ib = cols[live], ia[live], ib[live]
 
-    panels = np.zeros(N, dtype=np.int64)
+    per_col = np.zeros(N, dtype=np.int64)
     panels_total = 0
     depth = 0
     while cols.size:
         if depth > cfg.quad_max_depth or panels_total > cfg.quad_max_panels_total:
             noconv[cols] = True
             break
-        np.add.at(panels, cols, 1)
+        np.add.at(per_col, cols, 1)
         panels_total += cols.size
-        over = panels[cols] > cfg.quad_max_panels_per_col
+        over = per_col[cols] > cfg.quad_max_panels_per_col
         if over.any():
             noconv[cols[over]] = True
             cols, ia, ib = cols[~over], ia[~over], ib[~over]
             if not cols.size:
                 break
-        keep = ~dead[cols]
-        cols, ia, ib = cols[keep], ia[keep], ib[keep]
-        if not cols.size:
-            break
+        if dead.any():
+            keep = ~dead[cols]
+            cols, ia, ib = cols[keep], ia[keep], ib[keep]
+            if not cols.size:
+                break
         half = 0.5 * (ib - ia)
         mid = 0.5 * (ia + ib)
-        xs = mid[:, None] + half[:, None] * NODES[None, :]
-        vals = evalfn(xs.ravel(), np.repeat(cols, 15)).reshape(K, cols.size, 15)
-        bad = ~np.isfinite(vals).all(axis=(0, 2))
+        vals = evalfn(Panels(mid, half, cols), cols).reshape(K, cols.size, 15)
         # non-finite samples make the estimates meaningless; the bad mask
         # disposes of those columns, so silence the arithmetic
         with np.errstate(invalid="ignore", over="ignore"):
             I15 = (vals @ WEIGHTS) * half
             I7 = (vals[:, :, GAUSS_IDX] @ GAUSS_W) * half
             errs = np.abs(I15 - I7)
+        # every Kronrod weight is positive, so a NaN or infinite sample makes
+        # its column's I15 non-finite; the exact test runs on those columns
+        # only, as finite samples can also overflow in the sum
+        bad = ~np.isfinite(I15).all(axis=0)
+        if bad.any():
+            bad[bad] = ~np.isfinite(vals[:, bad]).all(axis=(0, 2))
         ref = np.abs(total[cols].T) + np.abs(I15)
         budget = np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * ref)
         budget *= (2.0 * half / L[cols])[None, :]
@@ -167,7 +202,8 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[NumericConfig] = No
         variables = ()
         rows = [()]
 
-    def evalfn(xs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def evalfn(panels: Panels, cols: np.ndarray) -> np.ndarray:
+        xs = panels.nodes()
         out = np.empty((len(rows), xs.size))
         for i, x in enumerate(xs):
             j = f(float(x))

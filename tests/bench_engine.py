@@ -6,7 +6,8 @@ The tier-1 run collects test_*.py only, so these run on request:
 
 They time the kernels of the integrand and root-body hot loop on fixed
 inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
-leaf-integrand callback on 1e6 quadrature nodes, and one batch of 3.7's
+leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
+of 4.4's innermost integral over about 1e6 nodes, and one batch of 3.7's
 root body.
 """
 
@@ -19,7 +20,8 @@ from pdegensol import expr_core as X
 from pdegensol.catalog import get_family
 from pdegensol.expr_core import Env, parse
 from pdegensol.numeric import EvalContext, IndexSet, JetBatch, NumericConfig, eval_batch, polynomial
-from pdegensol.numeric import engine
+from pdegensol.numeric import engine, quadrature
+from pdegensol.numeric.quadrature import Panels
 from pdegensol.verifier import _scenario_rng, draw_scenario
 
 from conftest import StubScenario, mk_poly1
@@ -59,10 +61,46 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
     eval_batch(e, env, EvalContext(iset, scn, CFG), cols)
     integrand_eval = callbacks[0]
     m = 10**6
-    xs = np.linspace(0.0, 1.0, m)
-    owner = np.repeat(np.arange(cols), m // cols)
-    out = benchmark(integrand_eval, xs, owner)
-    assert out.shape == (iset.K, m) and np.isfinite(out).all()
+    npan = m // 15
+    rs = np.random.default_rng(3)
+    panels = Panels(rs.uniform(0.2, 0.8, npan), np.full(npan, 0.1),
+                    np.sort(rs.integers(0, cols, npan)))
+    out = benchmark(integrand_eval, panels, panels.cols)
+    assert out.shape == (iset.K, panels.size) and np.isfinite(out).all()
+
+
+def test_leaf_quadrature_44(benchmark, monkeypatch):
+    # one adaptive quadrature of 4.4's innermost integral,
+    # int(rho, base(q0), sigma, b(rho, eta)), value-only over about 1e6
+    # nodes: the driver rounds plus the sliced leaf callback
+    fam = get_family("4.4")
+    scn = draw_scenario(fam, _scenario_rng(1, "4.4", 0), 0, 2, CFG)
+    inner = next(n for n in X.walk(fam.solution)
+                 if isinstance(n, X.Integral) and n.dummy == "rho")
+    iset = IndexSet(fam.variables, [(0, 0)])
+    cols = 60000
+    rs = np.random.default_rng(4)
+    env = {"sigma": JetBatch.constants(iset, rs.uniform(0.2, 1.2, cols)),
+           "eta": JetBatch.constants(iset, rs.uniform(0.2, 1.2, cols))}
+    calls = []
+
+    def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
+        calls.append((evalfn, lo, hi, K, cfg))
+        return quadrature.adaptive_gk_batched(evalfn, lo, hi, K, cfg, on_noconv)
+
+    monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
+    eval_batch(inner, env, EvalContext(iset, scn, CFG), cols)
+    evalfn, lo, hi, K, cfg = calls[0]
+    nodes = []
+
+    def counted(panels, cols):
+        nodes.append(panels.size)
+        return evalfn(panels, cols)
+
+    quadrature.adaptive_gk_batched(counted, lo, hi, K, cfg)
+    assert 5 * 10**5 < sum(nodes) < 2 * 10**6
+    data, _ = benchmark(quadrature.adaptive_gk_batched, evalfn, lo, hi, K, cfg)
+    assert data.shape == (1, cols) and np.isfinite(data).all()
 
 
 def test_root_body_batch(benchmark, monkeypatch):

@@ -418,3 +418,60 @@ def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
     assert _same_bits(out[7], out[10**9])
     assert causes[7] == causes[10**9]
     assert causes[7] and {k for k, _ in causes[7]} == {"domain"}
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: structurally equal subtrees become one object, which the
+# id-keyed memo evaluates once per scope, and every output bit stays.
+
+
+def _solution_jets(fam, scn, iset):
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+    ctx = EvalContext(iset, scn, CFG)
+    with np.errstate(all="ignore"):
+        jb = eval_batch(fam.solution, env, ctx, len(scn.points))
+    return jb.data, ctx.causes
+
+
+@pytest.mark.parametrize("fid", ["3.7", "3.8", "4.3", "5.2", "3.3", "6.4"])
+def test_interning_bit_identical(monkeypatch, fid):
+    fam, scn = _draw(fid, npts=3)
+    full = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    for iset in (full.value_only(), full):
+        interned = _solution_jets(fam, scn, iset)
+        with monkeypatch.context() as m:
+            # no interning anywhere, symbolic derivatives included
+            m.setattr(engine, "_interned", lambda e: e, raising=False)
+            m.setattr(engine, "_dderivs",
+                      engine._NodeCache(lambda e: {0: e.integrand}))
+            m.setattr(engine, "_root_derivative", engine._NodeCache(
+                lambda e: X.simplify(X.differentiate(e.body, e.dummy))))
+            plain = _solution_jets(fam, scn, iset)
+        assert _same_bits(interned[0], plain[0])
+        assert np.isfinite(interned[0]).all()
+        # a merged repeat notes its causes once: the kinds and the first
+        # cause are what the verifier reads
+        assert {k for k, _ in interned[1]} == {k for k, _ in plain[1]}
+        assert interned[1][:1] == plain[1][:1]
+
+
+def test_interning_shares_subtrees_and_keeps_roots():
+    env = Env(variables=("t", "x"))
+    e = parse("sin(x*t) + sin(x*t)*exp(sin(x*t))"
+              " + rootof(Z, Z^2 - x, 1) + rootof(Z, Z^2 - x, 1)", env)
+    c = engine._interned(e)
+    assert c == e and engine._interned(c) is c
+    sins = [n for n in X.walk(c) if isinstance(n, X.Sin)]
+    assert len(sins) == 3 and all(s is sins[0] for s in sins)
+    # every RootOf is the original object, equal roots stay apart
+    roots = [n for n in X.walk(e) if isinstance(n, X.RootOf)]
+    kept = [n for n in X.walk(c) if isinstance(n, X.RootOf)]
+    assert len(kept) == 2 and kept[0] is not kept[1]
+    assert all(a is b for a, b in zip(kept, roots))
+    # a catalog solution: roots kept by identity, repeats shared
+    sol = get_family("3.8").solution
+    c = engine._interned(sol)
+    assert [id(n) for n in X.walk(c) if isinstance(n, X.RootOf)] == \
+        [id(n) for n in X.walk(sol) if isinstance(n, X.RootOf)]
+    assert len({id(n) for n in X.walk(c)}) < len({id(n) for n in X.walk(sol)})

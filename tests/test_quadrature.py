@@ -7,7 +7,8 @@ import pytest
 
 from pdegensol.numeric import NumericConfig, integrate
 from pdegensol.numeric.errors import QuadratureNonconvergence
-from pdegensol.numeric.quadrature import GAUSS_IDX, GAUSS_W, NODES, WEIGHTS
+from pdegensol.numeric.quadrature import (GAUSS_IDX, GAUSS_W, NODES, WEIGHTS,
+                                          Panels, adaptive_gk_batched)
 
 
 CFG = NumericConfig()
@@ -100,3 +101,65 @@ def test_narrow_spike_resolved():
     got = quad(lambda x: np.exp(-(((x - 0.37) / s) ** 2)), 0.0, 1.0)
     exact = s * math.sqrt(math.pi)  # tails are below double precision
     assert got == pytest.approx(exact, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite samples in the batched driver.  Three columns over [0, 2] with
+# K rows; the first round's centre node of column 1 is x = 1.  A NaN or an
+# infinity kills its column (NaN, not reported as nonconvergent); finite
+# samples whose weighted sum overflows leave the column alive, so it is
+# refined until the panel cap reports it nonconvergent.
+
+_POISON = {
+    "nan": lambda x: np.where(x == 1.0, np.nan, 0.0),
+    "inf": lambda x: np.where(x == 1.0, np.inf, 0.0),
+    "inf_minus_inf": lambda x: np.where(x == 1.0, np.inf,
+                                        np.where(x == NODES[0] + 1.0,
+                                                 -np.inf, 0.0)),
+    "overflow": lambda x: np.full(x.shape, 1.5e308),
+}
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("case", sorted(_POISON))
+def test_driver_nonfinite_samples(K, case):
+    cfg = CFG.with_(quad_max_panels_per_col=64)
+    lo, hi = np.zeros(3), np.full(3, 2.0)
+    calls = []
+
+    def evalfn(panels, cols):
+        xs, owners = panels.nodes(), panels.owners()
+        assert xs.size == panels.size and np.array_equal(owners,
+                                                         np.repeat(cols, 15))
+        out = np.vstack([np.cos(xs) * (r + 1) for r in range(K)])
+        hit = owners == 1
+        with np.errstate(invalid="ignore"):
+            # the poison sits in the last row only
+            out[K - 1, hit] = out[K - 1, hit] * (case != "overflow") \
+                + _POISON[case](xs[hit])
+        return out
+
+    with np.errstate(over="ignore"):
+        data, err = adaptive_gk_batched(evalfn, lo, hi, K, cfg, calls.append)
+    assert data.shape == (K, 3)
+    assert np.isnan(data[:, 1]).all() and np.isnan(err[1])
+    assert np.isfinite(data[:, [0, 2]]).all()
+    assert data[:, 0] == pytest.approx(
+        [math.sin(2.0) * (r + 1) for r in range(K)], rel=1e-13)
+    if case == "overflow":
+        assert len(calls) == 1 and calls[0].tolist() == [False, True, False]
+    else:
+        assert calls == []
+
+
+def test_panels_nodes_and_owners():
+    mid = np.array([0.5, 3.0, -1.25])
+    half = np.array([0.5, 0.25, 1e-3])
+    cols = np.array([4, 0, 4])
+    p = Panels(mid, half, cols)
+    assert p.size == 45
+    want = (mid[:, None] + half[:, None] * NODES[None, :]).ravel()
+    assert np.array_equal(p.nodes().view(np.int64), want.view(np.int64))
+    assert np.array_equal(p.nodes(1, 3), want[15:])
+    assert np.array_equal(p.owners(), np.repeat(cols, 15))
+    assert np.array_equal(p.owners(2, 3), np.full(15, 4))
