@@ -34,7 +34,6 @@ __all__ = [
     "load_catalog",
     "family_ids",
     "get_family",
-    "list_families",
 ]
 
 
@@ -265,7 +264,3 @@ def get_family(family_id: str) -> PdeFamily:
     if family_id not in cat:
         raise KeyError(family_id)
     return cat[family_id]
-
-
-def list_families() -> list[PdeFamily]:
-    return list(load_catalog().values())

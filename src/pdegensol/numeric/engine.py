@@ -36,8 +36,7 @@ them leave every output bit as it was:
   move output bits.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN
-and the cause is recorded on the context.  The single-point wrapper
-eval_jet() raises the typed error for the first recorded cause."""
+and the cause is recorded on the context."""
 
 from __future__ import annotations
 
@@ -47,28 +46,14 @@ import numpy as np
 
 from .. import expr_core as X
 from .config import NumericConfig
-from .errors import (
-    DegenerateRoot,
-    DomainError,
-    EvalError,
-    NestLimitExceeded,
-    QuadratureNonconvergence,
-    RootNotFound,
-)
-from .jets import IndexSet, Jet, JetBatch, jb_cos, jb_div, jb_exp, jb_ln, jb_mul, jb_powc, jb_powi, jb_sin, jb_sqrt, jb_sub, jb_tan
+from .errors import EvalError, NestLimitExceeded
+from .jets import IndexSet, JetBatch, jb_cos, jb_div, jb_exp, jb_ln, jb_mul, jb_powc, jb_powi, jb_sin, jb_sqrt, jb_sub, jb_tan
 from .quadrature import Panels, adaptive_gk_batched
 from . import rootfind
 
 # nodes per slice of a leaf-integrand callback, rounded down to whole
 # 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
 _LEAF_SLICE = 32768
-
-_ERROR_BY_KIND = {
-    "domain": DomainError,
-    "quad": QuadratureNonconvergence,
-    "root": RootNotFound,
-    "degenerate": DegenerateRoot,
-}
 
 
 class EvalContext:
@@ -140,12 +125,6 @@ class EvalContext:
     def _note(self, kind: str, node, n: int) -> None:
         if len(self.causes) < 64:
             self.causes.append((kind, f"{X.to_text(node)[:80]} ({n} column(s))"))
-
-    def first_error(self) -> EvalError:
-        if self.causes:
-            kind, detail = self.causes[0]
-            return _ERROR_BY_KIND[kind](detail)
-        return DomainError("non-finite result (overflow)")
 
 
 class _SliceTally(EvalContext):
@@ -528,24 +507,3 @@ def _root_seeds(e: X.RootOf, ctx: EvalContext, n: int) -> np.ndarray:
     if e.seed is not None:
         return np.full(n, float(e.seed))
     return np.ones(n)
-
-
-# ---------------------------------------------------------------------------
-# public single-point API
-
-
-def eval_jet(e: X.Expr, point: Dict[str, float], scenario, index_set, cfg: Optional[NumericConfig] = None) -> Jet:
-    """Evaluate e at one point, returning value and exact partial
-    derivatives for every multi-index in index_set (downward-closed over
-    scenario.variables).  Raises a typed EvalError on failure."""
-    variables = tuple(scenario.variables)
-    iset = IndexSet(variables, [tuple(mi) for mi in index_set])
-    env = {
-        v: JetBatch.variable(iset, v, np.array([float(point[v])]))
-        for v in variables
-    }
-    ctx = EvalContext(iset, scenario, cfg)
-    jb = eval_batch(e, env, ctx, 1)
-    if not np.isfinite(jb.data[:, 0]).all():
-        raise ctx.first_error()
-    return Jet.from_batch(jb, 0)

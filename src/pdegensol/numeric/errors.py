@@ -1,27 +1,13 @@
 """Typed evaluation failures.
 
-Batched evaluation records failures as NaN poison plus a cause; the
-single-point API turns the first recorded cause into one of these."""
+Evaluation does not raise for a failure in its columns: it poisons them
+with NaN and records a cause kind on the context.  These are raised only
+where no column can go on: a malformed tree, nesting past the structural
+limit, or a scenario that cannot be drawn."""
 
 
 class EvalError(Exception):
     """Base class for numeric evaluation failures."""
-
-
-class DomainError(EvalError):
-    """Log/sqrt/power domain violation, guarded division, or a tan pole."""
-
-
-class QuadratureNonconvergence(EvalError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance."""
-
-
-class RootNotFound(EvalError):
-    """Bracketing or polishing failed to locate a root to tolerance."""
-
-
-class DegenerateRoot(EvalError):
-    """The implicit-function derivative dPhi/dz vanished at the root."""
 
 
 class NestLimitExceeded(EvalError):

@@ -471,41 +471,3 @@ def jb_tan(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
     if a.iset.max_order >= 3:
         phis.append((1 + T2) * (2 + 6 * T2))
     return _compose1(a, phis, bad if bad.any() else None)
-
-
-# ---------------------------------------------------------------------------
-# Scalar jets (public single-point type)
-
-
-class Jet:
-    """Value plus raw partial derivatives over a downward-closed index set."""
-
-    __slots__ = ("variables", "value", "partials")
-
-    def __init__(self, variables: Tuple[str, ...], value: float, partials: Dict[Index, float]):
-        self.variables = tuple(variables)
-        self.value = float(value)
-        self.partials = dict(partials)
-
-    def partial(self, mi: Index) -> float:
-        mi = tuple(mi)
-        if sum(mi) == 0:
-            return self.value
-        return self.partials[mi]
-
-    def d(self, **orders) -> float:
-        mi = tuple(orders.get(v, 0) for v in self.variables)
-        return self.partial(mi)
-
-    @classmethod
-    def from_batch(cls, jb: JetBatch, col: int) -> "Jet":
-        iset = jb.iset
-        partials = {
-            mi: float(jb.data[k, col])
-            for k, mi in enumerate(iset.indices)
-            if sum(mi) > 0
-        }
-        return cls(iset.variables, float(jb.data[0, col]), partials)
-
-    def __repr__(self):
-        return f"Jet({self.value!r}, {self.partials!r})"

@@ -22,8 +22,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .config import NumericConfig
-from .errors import QuadratureNonconvergence
-from .jets import Jet
 
 # Kronrod abscissae (positive half) and weights; Gauss-7 weights for the
 # shared nodes.  Values as in the standard dqk15 tables.
@@ -186,40 +184,3 @@ def adaptive_gk_batched(
     if noconv.any() and on_noconv is not None:
         on_noconv(noconv)
     return total.T * sign[None, :], err_acc
-
-
-def integrate(f: Callable, a: float, b: float, cfg: Optional[NumericConfig] = None) -> Tuple[Jet, float]:
-    """Adaptive integral of a jet-valued (or plain scalar) function of one
-    real variable.  Returns (Jet, error estimate).  Scalar integrands come
-    back as a Jet with no derivative rows."""
-    cfg = cfg or NumericConfig()
-    probe = f(0.5 * (a + b))
-    if isinstance(probe, Jet):
-        variables = probe.variables
-        keys = sorted(probe.partials, key=lambda m: (sum(m), m))
-        rows = [(0,) * len(variables)] + [k for k in keys if sum(k) > 0]
-    else:
-        variables = ()
-        rows = [()]
-
-    def evalfn(panels: Panels, cols: np.ndarray) -> np.ndarray:
-        xs = panels.nodes()
-        out = np.empty((len(rows), xs.size))
-        for i, x in enumerate(xs):
-            j = f(float(x))
-            if isinstance(j, Jet):
-                for r, mi in enumerate(rows):
-                    out[r, i] = j.partial(mi)
-            else:
-                out[0, i] = float(j)
-        return out
-
-    data, err = adaptive_gk_batched(
-        evalfn, np.array([a], dtype=float), np.array([b], dtype=float), len(rows), cfg
-    )
-    if not np.isfinite(data[:, 0]).all():
-        raise QuadratureNonconvergence(
-            f"integral over [{a}, {b}] did not converge within depth {cfg.quad_max_depth}"
-        )
-    partials = {mi: float(data[r, 0]) for r, mi in enumerate(rows) if sum(mi) > 0}
-    return Jet(variables, float(data[0, 0]), partials), float(err[0])

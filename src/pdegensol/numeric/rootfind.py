@@ -1,4 +1,4 @@
-"""Bracketed root solving, vectorized over batches, plus jet refinement.
+"""Bracketed root solving, vectorized over batches.
 
 Strategy per element: expand a bracket geometrically around the seed until
 the function changes sign (NaN probes block that direction: the domain edge
@@ -16,8 +16,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .config import NumericConfig
-from .errors import DegenerateRoot, RootNotFound
-from .jets import IndexSet, Jet, JetBatch, jb_div, jb_sub
 
 OK, BAD_SEED, NO_BRACKET, NO_CONVERGE = 0, 1, 2, 3
 
@@ -141,55 +139,3 @@ def bracket_bisect_newton(
             status[cols[conv]] = OK
             status[cols[~conv]] = NO_CONVERGE
     return roots, status
-
-
-def find_root(
-    phi: Callable,
-    seed: float,
-    cfg: Optional[NumericConfig] = None,
-    phi_z: Optional[Callable] = None,
-    index_set: Optional[IndexSet] = None,
-) -> Jet:
-    """Solve phi(z) = 0 near seed.  phi maps a float to a float (or to a
-    Jet whose value is used).  With index_set and phi_z given, phi and
-    phi_z must accept a JetBatch for z and return JetBatches; a few
-    jet-Newton steps z <- z - phi(z)/phi_z(z) then produce the implicit
-    derivatives of the root with respect to the index set's variables.
-
-    Raises RootNotFound / DegenerateRoot."""
-    cfg = cfg or NumericConfig()
-
-    def fval(zs, cols):
-        out = np.empty(zs.size)
-        for i, zz in enumerate(zs):
-            r = phi(float(zz))
-            out[i] = r.value if isinstance(r, Jet) else float(r)
-        return out
-
-    fprime = None
-    if phi_z is not None and index_set is None:
-        def fprime(zs, cols):  # noqa: F811
-            out = np.empty(zs.size)
-            for i, zz in enumerate(zs):
-                r = phi_z(float(zz))
-                out[i] = r.value if isinstance(r, Jet) else float(r)
-            return out
-
-    roots, status = bracket_bisect_newton(fval, fprime, np.array([float(seed)]), cfg)
-    if status[0] != OK:
-        why = {BAD_SEED: "function undefined at seed", NO_BRACKET: "no sign change found", NO_CONVERGE: "did not converge"}[int(status[0])]
-        raise RootNotFound(f"root near seed {seed}: {why}")
-    z0 = float(roots[0])
-    if index_set is None:
-        return Jet((), z0, {})
-    if phi_z is None:
-        raise ValueError("jet output needs phi_z")
-    z = JetBatch.constants(index_set, np.array([z0]))
-    for _ in range(3):
-        F = phi(z)
-        Fz = phi_z(z)
-        if abs(float(Fz.value()[0])) < cfg.degenerate_tol:
-            raise DegenerateRoot(f"dPhi/dz ~ 0 at root {z0}")
-        q, _bad = jb_div(F, Fz, cfg.den_guard)
-        z = jb_sub(z, q)
-    return Jet.from_batch(z, 0)

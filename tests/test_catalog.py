@@ -14,7 +14,6 @@ from pdegensol.catalog import (
     _suffix_orders,
     family_ids,
     get_family,
-    list_families,
     load_catalog,
 )
 from pdegensol.expr_core import to_text
@@ -122,11 +121,6 @@ def test_implicit_root_families():
 def test_get_family_unknown_raises_keyerror():
     with pytest.raises(KeyError):
         get_family("9.9")
-
-
-def test_list_families_ordered():
-    fams = list_families()
-    assert [f.family_id for f in fams] == ALL_IDS
 
 
 # --- record format unit tests ---------------------------------------------

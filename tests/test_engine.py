@@ -1,5 +1,5 @@
 """Batched expression evaluation: values, exact derivative jets, and the
-typed failure surface.
+failure surface (NaN-poisoned columns plus recorded cause kinds).
 
 Every derivative produced by the engine is compared against either a hand
 closed form or Richardson-improved central differences of the engine's own
@@ -17,15 +17,12 @@ from pdegensol import expr_core as X
 from pdegensol.catalog import get_family
 from pdegensol.expr_core import Env, parse
 from pdegensol.numeric import (
-    DomainError,
     EvalContext,
     IndexSet,
     JetBatch,
     NestLimitExceeded,
     NumericConfig,
-    RootNotFound,
     eval_batch,
-    eval_jet,
     polynomial,
 )
 from pdegensol.numeric import engine
@@ -36,12 +33,31 @@ from conftest import central_diff, mk_poly1, richardson
 CFG = NumericConfig()
 
 
-def _jet(text, point, scn, orders, env_vars=None, cfg=None):
+class _Col:
+    """Column 0 of a one-column evaluation: value, raw partials by
+    variable name, and the causes the context recorded."""
+
+    def __init__(self, jb, ctx):
+        self.data = jb.data[:, 0]
+        self.iset = jb.iset
+        self.value = float(self.data[0])
+        self.kinds = [kind for kind, _detail in ctx.causes]
+
+    def d(self, **orders):
+        mi = tuple(orders.get(v, 0) for v in self.iset.variables)
+        return float(self.data[self.iset.pos[mi]])
+
+
+def _jet(text, point, scn, orders, cfg=None):
     env = Env(variables=tuple(scn.variables),
               parameters=tuple(scn.parameters),
               functions={k: v.arity for k, v in scn.functions.items()})
     e = parse(text, env)
-    return eval_jet(e, point, scn, orders, cfg or CFG)
+    iset = IndexSet(scn.variables, orders)
+    jenv = {v: JetBatch.variable(iset, v, np.array([point[v]]))
+            for v in scn.variables}
+    ctx = EvalContext(iset, scn, cfg or CFG)
+    return _Col(eval_batch(e, jenv, ctx, 1), ctx)
 
 
 def test_values_and_derivatives_closed_form(scn_tx):
@@ -182,17 +198,33 @@ def test_let_evaluation(scn_tx):
 
 
 def test_domain_error_raises_typed(scn_x):
-    with pytest.raises(DomainError):
-        _jet("ln(x - 2)", {"x": 0.5}, scn_x, [(1,)])
-    with pytest.raises(DomainError):
-        _jet("sqrt(-x)", {"x": 0.5}, scn_x, [(1,)])
-    with pytest.raises(DomainError):
-        _jet("1/(x - 1/2)", {"x": 0.5}, scn_x, [(0,)])
+    # the column is poisoned and the cause kind is recorded; nothing raises
+    for text, orders in [("ln(x - 2)", [(1,)]), ("sqrt(-x)", [(1,)]),
+                         ("1/(x - 1/2)", [(0,)])]:
+        j = _jet(text, {"x": 0.5}, scn_x, orders)
+        assert np.isnan(j.data).all()
+        assert j.kinds == ["domain"]
 
 
 def test_root_not_found_raises(scn_x):
-    with pytest.raises(RootNotFound):
-        _jet("rootof(Z, Z^2 + 1 + 0*x, 1)", {"x": 0.5}, scn_x, [(0,)])
+    j = _jet("rootof(Z, Z^2 + 1 + 0*x, 1)", {"x": 0.5}, scn_x, [(0,)])
+    assert np.isnan(j.data).all()
+    assert j.kinds == ["root"]
+
+
+def test_degenerate_root_poisons_its_column(scn_x):
+    # dPhi/dz = 3 Z^2 vanishes at the root Z = 0 of column 0 only; column 1
+    # has z = 2 and dz/dx = 1/(3 z^2) = 1/12                    [DERIVED]
+    e = parse("rootof(Z, Z^3 - x, 0.5)", Env(variables=("x",)))
+    iset = IndexSet(("x",), {(1,)})
+    ctx = EvalContext(iset, scn_x, CFG)
+    env = {"x": JetBatch.variable(iset, "x", np.array([0.0, 8.0]))}
+    jb = eval_batch(e, env, ctx, 2)
+    assert np.isnan(jb.data[:, 0]).all()
+    assert [kind for kind, _detail in ctx.causes] == ["degenerate"]
+    assert ctx.causes[0][1].endswith("(1 column(s))")
+    assert jb.data[0, 1] == pytest.approx(2.0, abs=1e-12)
+    assert jb.data[1, 1] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_nest_limit_raises(scn_x):

@@ -101,14 +101,14 @@ def test_rootof_derivative_closed_form():
     # z(x) = rootof(Z, Z^2 - x): z = sqrt(x), dz/dx = 1/(2 z).
     # At x = 4: z = 2, dz/dx = 0.25, d2z/dx2 = -1/32.     [DERIVED]
     scn = StubScenario(("x",))
-    from pdegensol.numeric import eval_jet
-
     env1 = Env(variables=("x",))
     z = parse("rootof(Z, Z^2 - x, 2)", env1)
-    jet = eval_jet(z, {"x": 4.0}, scn, [(2,)])
-    assert jet.value == pytest.approx(2.0, abs=1e-12)
-    assert jet.d(x=1) == pytest.approx(0.25, abs=1e-10)
-    assert jet.d(x=2) == pytest.approx(-1.0 / 32.0, abs=1e-10)
+    iset = IndexSet(("x",), {(2,)})
+    env = {"x": JetBatch.variable(iset, "x", np.array([4.0]))}
+    jb = eval_batch(z, env, EvalContext(iset, scn), 1)
+    assert jb.data[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert jb.data[iset.pos[(1,)], 0] == pytest.approx(0.25, abs=1e-10)
+    assert jb.data[iset.pos[(2,)], 0] == pytest.approx(-1.0 / 32.0, abs=1e-10)
 
 
 def test_let_derivative_respects_binding():

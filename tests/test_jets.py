@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from pdegensol.numeric.jets import (
     IndexSet,
-    Jet,
     JetBatch,
     jb_cos,
     jb_exp,
@@ -170,16 +169,6 @@ def test_variable_jet_rows():
     assert np.allclose(jx.data[pos_x], 1.0)
     pos_t = iset.pos[(1, 0)]
     assert np.allclose(jx.data[pos_t], 0.0)
-
-
-def test_jet_accessors():
-    iset = IndexSet(("t", "x"), {(1, 1)})
-    jb = _poly_jet(iset, COEF_A, np.array([0.5]), np.array([0.25]))
-    j = Jet.from_batch(jb, 0)
-    assert j.d() == pytest.approx(j.value)
-    assert j.d(t=1, x=1) == pytest.approx(COEF_A[(1, 1)])
-    with pytest.raises(KeyError):
-        j.partial((3, 3))
 
 
 # -- value-only (K=1) route: bit-identical to row 0 of the full tables ------

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdegensol.numeric import NumericConfig, integrate
-from pdegensol.numeric.errors import QuadratureNonconvergence
+from pdegensol.numeric import NumericConfig
 from pdegensol.numeric.quadrature import (GAUSS_IDX, GAUSS_W, NODES, WEIGHTS,
                                           Panels, adaptive_gk_batched)
 
@@ -14,9 +13,13 @@ from pdegensol.numeric.quadrature import (GAUSS_IDX, GAUSS_W, NODES, WEIGHTS,
 CFG = NumericConfig()
 
 
-def quad(f, lo, hi, cfg=CFG):
-    jet, _err = integrate(f, lo, hi, cfg)
-    return jet.value
+def quad(f, lo, hi, cfg=CFG, on_noconv=None):
+    """One-column integral of f (array in, array out) from lo to hi."""
+    data, _err = adaptive_gk_batched(
+        lambda panels, cols: f(panels.nodes())[None, :],
+        np.array([lo]), np.array([hi]), 1, cfg, on_noconv)
+    return data[0, 0]
+
 
 # (integrand, lower, upper, exact value)  -- all closed forms   [TRIVIAL]
 BATTERY = [
@@ -70,14 +73,22 @@ def test_divergent_integrand_reports_nonconvergence():
     # pole inside the interval, just off every node: the panel budget must
     # cut the exponential worklist growth and refuse, not hang
     small = CFG.with_(quad_max_panels_per_col=200, quad_max_panels_total=2000)
-    with pytest.raises(QuadratureNonconvergence):
-        quad(lambda x: 1.0 / (x - 0.5000000001), 0.0, 1.0, small)
+    calls = []
+    got = quad(lambda x: 1.0 / (x - 0.5000000001), 0.0, 1.0, small,
+               calls.append)
+    assert math.isnan(got)
+    assert len(calls) == 1 and calls[0].tolist() == [True]
 
 
-def test_pole_on_node_reports_nonconvergence():
-    # pole exactly at the first panel's center node: poison, not junk
-    with np.errstate(divide="ignore"), pytest.raises(QuadratureNonconvergence):
-        quad(lambda x: np.float64(1.0) / (np.float64(x) - 0.5), 0.0, 1.0)
+def test_pole_on_node_kills_column():
+    # pole exactly at the first panel's center node: poison, not junk; the
+    # column is dead, not nonconvergent, so it is not reported
+    calls = []
+    with np.errstate(divide="ignore"):
+        got = quad(lambda x: np.float64(1.0) / (np.float64(x) - 0.5), 0.0,
+                   1.0, CFG, calls.append)
+    assert math.isnan(got)
+    assert calls == []
 
 
 def test_tolerance_scales_with_interval_length():

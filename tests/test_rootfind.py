@@ -1,66 +1,83 @@
-"""Bracketed root solving and implicit derivatives."""
+"""Bracketed root solving, one column and batched."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pdegensol.numeric import NumericConfig, find_root
-from pdegensol.numeric.errors import DegenerateRoot, RootNotFound
-from pdegensol.numeric.rootfind import OK, bracket_bisect_newton
+from pdegensol.numeric import NumericConfig
+from pdegensol.numeric.rootfind import (BAD_SEED, NO_BRACKET, OK,
+                                        bracket_bisect_newton)
 
 
 CFG = NumericConfig()
 
 
+def solve(f, seed, fprime=None, cfg=CFG):
+    """Root and status code of the one-column problem f(z) = 0 near seed;
+    f and fprime map an array of z to an array of values."""
+    fp = None if fprime is None else (lambda zs, cols: fprime(zs))
+    roots, status = bracket_bisect_newton(lambda zs, cols: f(zs), fp,
+                                          np.array([float(seed)]), cfg)
+    return roots[0], status[0]
+
+
 def test_simple_roots():
     # z^2 = 2 from seed 1: sqrt(2)                              [TRIVIAL]
-    j = find_root(lambda z: z * z - 2.0, 1.0, CFG)
-    assert j.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    z, st = solve(lambda z: z * z - 2.0, 1.0)
+    assert st == OK
+    assert z == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # cos z = z from seed 0.5: the Dottie number 0.739085...    [DERIVED]
-    j = find_root(lambda z: math.cos(z) - z, 0.5, CFG)
-    assert j.value == pytest.approx(0.7390851332151607, abs=1e-12)
+    z, st = solve(lambda z: np.cos(z) - z, 0.5)
+    assert st == OK
+    assert z == pytest.approx(0.7390851332151607, abs=1e-12)
 
 
 def test_root_below_seed():
-    j = find_root(lambda z: math.exp(z) - 0.5, 0.0, CFG)
-    assert j.value == pytest.approx(math.log(0.5), abs=1e-12)
+    z, st = solve(lambda z: np.exp(z) - 0.5, 0.0)
+    assert st == OK
+    assert z == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_seed_exactly_at_root():
-    j = find_root(lambda z: z - 1.25, 1.25, CFG)
-    assert j.value == 1.25
+    assert solve(lambda z: z - 1.25, 1.25) == (1.25, OK)
 
 
 def test_no_root_in_span_raises():
-    # z^2 + 1 has no real root anywhere
-    with pytest.raises(RootNotFound):
-        find_root(lambda z: z * z + 1.0, 1.0, CFG)
+    # z^2 + 1 has no real root anywhere: no bracket, NaN root
+    z, st = solve(lambda z: z * z + 1.0, 1.0)
+    assert st == NO_BRACKET and math.isnan(z)
+
+
+def test_nan_at_seed_is_bad_seed():
+    # f undefined at the seed: refused at once, although a root exists at 2
+    z, st = solve(lambda z: np.where(z < 1.0, np.nan, z - 2.0), 0.0)
+    assert st == BAD_SEED and math.isnan(z)
 
 
 def test_nan_wall_blocks_direction_but_other_side_found():
     # f undefined left of 0, root at 4 above the seed
     def f(z):
-        if z < 0:
-            return float("nan")
-        return math.sqrt(z) - 2.0
+        with np.errstate(invalid="ignore"):
+            return np.where(z < 0, np.nan, np.sqrt(z) - 2.0)
 
-    j = find_root(f, 0.5, CFG)
-    assert j.value == pytest.approx(4.0, abs=1e-10)
+    z, st = solve(f, 0.5)
+    assert st == OK
+    assert z == pytest.approx(4.0, abs=1e-10)
 
 
 def test_degenerate_derivative_detected():
-    # z^2 has a double root: dphi/dz = 0 there
-    with pytest.raises((DegenerateRoot, RootNotFound)):
-        find_root(lambda z: z * z, 0.5, CFG, phi_z=lambda z: 2 * z)
+    # z^2 has a double root: f never changes sign, so no bracket is found
+    z, st = solve(lambda z: z * z, 0.5, fprime=lambda z: 2 * z)
+    assert st == NO_BRACKET and math.isnan(z)
 
 
 def test_newton_polish_hits_tolerance():
-    j = find_root(lambda z: z**3 - 7.0, 1.5, CFG,
-                  phi_z=lambda z: 3.0 * z**2)
-    z = 7.0 ** (1.0 / 3.0)
-    assert j.value == pytest.approx(z, abs=1e-13)
-    assert abs(j.value**3 - 7.0) <= 1e-11
+    z, st = solve(lambda z: z**3 - 7.0, 1.5, fprime=lambda z: 3.0 * z**2)
+    assert st == OK
+    want = 7.0 ** (1.0 / 3.0)
+    assert z == pytest.approx(want, abs=1e-13)
+    assert abs(z**3 - 7.0) <= 1e-11
 
 
 def test_batched_columns_independent():
@@ -97,5 +114,5 @@ def test_batched_partial_failure_isolates_columns():
 
 def test_span_cap_respected():
     # nearest root far outside the bracket span: must refuse
-    with pytest.raises(RootNotFound):
-        find_root(lambda z: z - 50.0, 0.0, CFG)
+    z, st = solve(lambda z: z - 50.0, 0.0)
+    assert st == NO_BRACKET and math.isnan(z)
