@@ -8,7 +8,8 @@
     pdegensol sample 3.1 --grid t=0.2:1.2:9 --grid x=0.2:1.2:9 -o w.csv
 
 Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id,
-3 any INDETERMINATE (and no FAIL), 4 I/O or internal error.
+3 any INDETERMINATE (and no FAIL), 4 usage, I/O or evaluation error
+(EvalError: a malformed tree, an unbound name, the nesting limit).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .catalog import family_ids, get_family
 from .expr_core import to_text
-from .numeric import NumericConfig
+from .numeric import EvalError, NumericConfig
 from .verifier import (HINTS, SamplingHints, _famkey, draw_scenario,
                        solution_values, verify_catalog)
 
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"unknown family id: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

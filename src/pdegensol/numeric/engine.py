@@ -28,8 +28,9 @@ them leave every output bit as it was:
   let-bound values) are copied out to full width.
 * Leaf integrands are evaluated in slices.  An integrand with no integral
   or root inside computes each quadrature node on its own, so its callback
-  takes the round's panels and builds their nodes and owner columns
-  _LEAF_SLICE // 15 panels at a time, into one output array; each slice's
+  takes the round's panels _LEAF_SLICE // 15 at a time: it builds their
+  nodes straight into the dummy's jet, gathers each bound name once per
+  panel for its 15 nodes, and writes into one output array; each slice's
   temporaries stay in the cache.  Other integrands are evaluated whole:
   the row sums of the inner quadrature and the seeds of an implicit root
   both depend on how many columns share a call, so slicing them would
@@ -407,11 +408,13 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     leaf = _is_leaf(e.integrand)
 
     def at_nodes(panels: Panels, lo: int, hi: int, c: EvalContext) -> JetBatch:
-        xs = panels.nodes(lo, hi)
-        owners = panels.owners(lo, hi)
-        ienv = {nm: env[nm].gather(owners) for nm in names}
-        ienv[e.dummy] = JetBatch.constants(iset, xs)
-        return _ev(e.integrand, ienv, c, xs.size, {})
+        own = panels.cols[lo:hi]
+        ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
+                for nm in names}
+        dummy = np.zeros((iset.K, 15 * own.size))
+        panels.nodes(lo, hi, out=dummy[0])
+        ienv[e.dummy] = JetBatch(iset, dummy)
+        return _ev(e.integrand, ienv, c, dummy.shape[1], {})
 
     def integrand_eval(panels: Panels, cols: np.ndarray) -> np.ndarray:
         ctx.stats["quad_panels"] += 1
@@ -430,7 +433,7 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     def on_noconv(mask):
         ctx.record("quad", mask, e)
 
-    data, _err = adaptive_gk_batched(
+    data = adaptive_gk_batched(
         integrand_eval, lo_jb.data[0], up_jb.data[0], iset.K, ctx.cfg, on_noconv
     )
     out = JetBatch(iset, data)

@@ -5,11 +5,13 @@ once, each carrying K jet components; one evaluator call handles the union
 of all pending subintervals, so nested integrals turn into a handful of
 large array evaluations rather than deep scalar recursion.  The evaluator
 receives the round as Panels (centres, half-widths and owner columns), not
-as a node array: it builds the nodes and owners itself, all at once or a
-range of panels at a time, so the driver never holds the round's nodes.
-The driver's two reductions per round, I15 and I7, stay whole-batch
-matrix products written exactly as below: their last bits depend on how
-they are computed, and I7 decides convergence.
+as a node array: it builds the nodes itself, all at once or a range of
+panels at a time, and reads per-column data once per panel, so neither
+side holds a node-length copy of the owners.  The rest of a round works at
+panel length, apart from the two reductions I15 and I7, which stay
+whole-batch matrix products written exactly as below: their last bits
+depend on how they are computed, and I7 decides convergence.  The layout
+of the result is pinned too (see adaptive_gk_batched).
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
@@ -17,7 +19,7 @@ independent high-order reference."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,8 +70,9 @@ GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 class Panels:
     """The panels of one adaptive round: centres mid, half-widths half and
     owner columns cols, one entry per panel.  size is the node count, 15
-    per panel.  Nodes and owners are built on request for any range of
-    panels, so a caller can hold a slice of them at a time."""
+    per panel.  Nodes are built on request for any range of panels, so a
+    caller can hold a slice of them at a time; a panel's 15 nodes all
+    belong to its owner column, so per-column data is gathered per panel."""
 
     def __init__(self, mid: np.ndarray, half: np.ndarray, cols: np.ndarray):
         self.mid = mid
@@ -77,15 +80,18 @@ class Panels:
         self.cols = cols
         self.size = 15 * cols.size
 
-    def nodes(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """The flat nodes of panels lo..hi, 15 per panel in NODES order."""
-        xs = np.multiply.outer(self.half[lo:hi], NODES)
-        xs += self.mid[lo:hi, None]
-        return xs.ravel()
-
-    def owners(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """The owner column of each node of panels lo..hi."""
-        return np.repeat(self.cols[lo:hi], 15)
+    def nodes(self, lo: int = 0, hi: Optional[int] = None,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The flat nodes of panels lo..hi, 15 per panel in NODES order,
+        written into out (a contiguous 1-D array, such as row 0 of a jet)
+        when it is given."""
+        half, mid = self.half[lo:hi], self.mid[lo:hi]
+        if out is None:
+            out = np.empty(15 * half.size)
+        xs = out.reshape(half.size, 15)
+        np.multiply.outer(half, NODES, out=xs)
+        xs += mid[:, None]
+        return out
 
 
 def adaptive_gk_batched(
@@ -95,15 +101,20 @@ def adaptive_gk_batched(
     K: int,
     cfg: NumericConfig,
     on_noconv: Optional[Callable[[np.ndarray], None]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Integrate N integrals with K jet rows each.
 
     Each round calls evalfn(panels, cols) once with the round's Panels,
     where cols[j] names the integral (column) that panel j belongs to; it
     returns the integrand jets at panels.nodes(), shape (K, panels.size).
-    Returns (data (K, N), err (N,)).  Columns that fail (NaN from the
-    integrand, or no convergence before the depth limit) come back NaN;
-    nonconvergent columns are also reported via on_noconv.
+    Returns the integrals, shape (K, N), as the transpose of an (N, K)
+    array: F-ordered when K > 1.  That layout is part of the contract:
+    numpy sums pairwise along a contiguous axis and in sequence along a
+    strided one, so the reductions downstream give other last bits on a
+    C-ordered copy of the same values (3.9's residual at verify seed 41
+    moves).  Columns that fail (NaN from the integrand, or no convergence
+    before the depth limit) come back NaN; nonconvergent columns are also
+    reported via on_noconv.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -114,7 +125,6 @@ def adaptive_gk_batched(
     L = np.maximum(b0 - a0, 1e-300)
 
     total = np.zeros((N, K))
-    err_acc = np.zeros(N)
     dead = np.zeros(N, dtype=bool)  # poisoned by NaN integrand
     noconv = np.zeros(N, dtype=bool)
 
@@ -165,8 +175,11 @@ def adaptive_gk_batched(
         if bad.any():
             dead[cols[bad]] = True
         if ok.any():
-            np.add.at(total, cols[ok], I15[:, ok].T)
-            np.add.at(err_acc, cols[ok], errs[:, ok].max(axis=0))
+            # one jet row at a time: the same adds in the same order as one
+            # 2-D add.at, on numpy's fast 1-D path
+            done = cols[ok]
+            for k in range(K):
+                np.add.at(total[:, k], done, I15[k, ok])
         rest = ~ok & ~bad
         if rest.any():
             rc, ra, rb, rm = cols[rest], ia[rest], mid[rest], ib[rest]
@@ -180,7 +193,6 @@ def adaptive_gk_batched(
     fail = dead | noconv
     if fail.any():
         total[fail] = np.nan
-        err_acc[fail] = np.nan
     if noconv.any() and on_noconv is not None:
         on_noconv(noconv)
-    return total.T * sign[None, :], err_acc
+    return total.T * sign[None, :]

@@ -291,11 +291,10 @@ def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
 
 def _prescan_ok(fam: PdeFamily, scn: Scenario, cfg: NumericConfig) -> bool:
     """Value-only evaluation with widened guards; rejects scenarios whose
-    points sit near a domain wall anywhere along the integration paths."""
-    try:
-        w = solution_values(fam, scn, scn.points, cfg, PRESCAN_GUARD)
-    except Exception:
-        return False
+    points sit near a domain wall anywhere along the integration paths.
+    A failing point is a NaN column; an EvalError (a malformed tree, an
+    unbound name, the nesting limit) no redraw can fix, so it propagates."""
+    w = solution_values(fam, scn, scn.points, cfg, PRESCAN_GUARD)
     return bool(np.isfinite(w).all())
 
 
@@ -501,7 +500,7 @@ def crosscheck_derivatives(
     # nested quadrature fans out per column (~15^depth inner evaluations),
     # so cap the columns per batch for deep solutions or memory blows up;
     # at the tightened tolerances one 32-column batch of 4.4 (depth 5)
-    # takes a process from 72 MB to a 581 MB peak RSS
+    # takes a process from about 50 MB to a 554 MB peak RSS
     nall = len(allpts)
     if fam.sol_depth >= 5:
         maxcols = 32

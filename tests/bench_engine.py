@@ -7,8 +7,8 @@ The tier-1 run collects test_*.py only, so these run on request:
 They time the kernels of the integrand and root-body hot loop on fixed
 inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
 leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
-of 4.4's innermost integral over about 1e6 nodes, and one batch of 3.7's
-root body.
+of 4.4's innermost integral over about 1e6 nodes, one driver round of
+1.8e6 panels with a trivial integrand, and one batch of 3.7's root body.
 """
 
 import numpy as np
@@ -55,7 +55,7 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
 
     def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
         callbacks.append(evalfn)
-        return np.zeros((K, lo.size)), np.zeros(lo.size)
+        return np.zeros((K, lo.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
     eval_batch(e, env, EvalContext(iset, scn, CFG), cols)
@@ -99,8 +99,28 @@ def test_leaf_quadrature_44(benchmark, monkeypatch):
 
     quadrature.adaptive_gk_batched(counted, lo, hi, K, cfg)
     assert 5 * 10**5 < sum(nodes) < 2 * 10**6
-    data, _ = benchmark(quadrature.adaptive_gk_batched, evalfn, lo, hi, K, cfg)
+    data = benchmark(quadrature.adaptive_gk_batched, evalfn, lo, hi, K, cfg)
     assert data.shape == (1, cols) and np.isfinite(data).all()
+
+
+def test_driver_round(benchmark):
+    # the driver's own cost in one round the size of 4.4's first depth-5
+    # round (about 1.8e6 panels, K=1): the integrand hands back a fixed
+    # quadratic sampled at the first round's nodes, so every panel
+    # converges at once and the integrand costs nothing
+    cols = 1_800_000
+    lo, hi = np.zeros(cols), np.linspace(0.1, 1.0, cols)
+    xs = Panels(0.5 * hi, 0.5 * hi, np.arange(cols)).nodes()
+    vals = np.square(xs, out=xs)[None, :]
+    rounds = []
+
+    def integrand(panels, owner):
+        rounds.append(panels.size)
+        return vals
+
+    data = benchmark(quadrature.adaptive_gk_batched, integrand, lo, hi, 1, CFG)
+    assert set(rounds) == {vals.size}
+    assert data == pytest.approx(hi[None, :] ** 3 / 3.0, rel=1e-12)
 
 
 def test_root_body_batch(benchmark, monkeypatch):

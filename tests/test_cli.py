@@ -119,3 +119,18 @@ def test_sample_stdout_header(capsys):
 
 def test_sample_bad_grid_exit_4(capsys):
     assert main(["sample", "3.1", "--grid", "t=oops"]) == 4
+
+
+def test_eval_error_exit_4(capsys, monkeypatch):
+    # an EvalError (here the nesting limit, below 4.4's depth of 5) is an
+    # error message and exit code 4, not a traceback
+    import pdegensol.cli as cli
+    from pdegensol.numeric import NumericConfig
+
+    monkeypatch.setattr(cli, "NumericConfig",
+                        lambda: NumericConfig().with_(nest_limit=3))
+    assert main(["sample", "4.4", "--grid", "t=0.4:0.6:2",
+                 "--grid", "x=0.4:0.6:2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature nesting deeper than 3")
+    assert "Traceback" not in err

@@ -26,6 +26,7 @@ from pdegensol.numeric import (
     polynomial,
 )
 from pdegensol.numeric import engine
+from pdegensol.numeric.quadrature import Panels
 from pdegensol.verifier import _scenario_rng, draw_scenario
 
 from conftest import central_diff, mk_poly1, richardson
@@ -450,6 +451,42 @@ def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
     assert _same_bits(out[7], out[10**9])
     assert causes[7] == causes[10**9]
     assert causes[7] and {k for k, _ in causes[7]} == {"domain"}
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 2.5e300, 0.75]
+
+
+@pytest.mark.parametrize("npan", [5, 2 * (engine._LEAF_SLICE // 15) + 3],
+                         ids=["whole", "sliced"])
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
+    # the callback's environment, read back through the integrands t and
+    # eta: a bound name gathered per panel and repeated to its 15 nodes,
+    # and the dummy's jet built in place, equal bit for bit to gathering
+    # by node owners and to JetBatch.constants of the nodes, on columns
+    # that hold NaN, infinities, -0.0 and huge values in every jet row
+    iset = _isets(("t", "x"))[k]
+    n = len(_SPECIAL)
+    t = np.array([np.roll(_SPECIAL, r) for r in range(iset.K)])
+    env = {"t": JetBatch(iset, t),
+           "x": JetBatch.variable(iset, "x", np.linspace(0.2, 1.2, n))}
+    callbacks = []
+
+    def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
+        callbacks.append(evalfn)
+        return np.zeros((K, lo.size))
+
+    monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
+    for integrand in ("t", "eta"):
+        e = parse(f"int(eta, base(p0), x, {integrand})", Env(variables=("t", "x")))
+        with np.errstate(all="ignore"):
+            eval_batch(e, env, EvalContext(iset, scn_tx, CFG), n)
+    rs = np.random.default_rng(7)
+    panels = Panels(rs.uniform(-1.0, 1.0, npan), rs.uniform(1e-3, 1.0, npan),
+                    np.sort(rs.integers(0, n, npan)))
+    got_t, got_eta = (cb(panels, panels.cols) for cb in callbacks)
+    assert _same_bits(got_t, t[:, np.repeat(panels.cols, 15)])
+    assert _same_bits(got_eta, JetBatch.constants(iset, panels.nodes()).data)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import pdegensol.verifier as verifier
 from pdegensol.catalog import _build_family, _parse_records, get_family
-from pdegensol.numeric import NumericConfig, SamplingExhausted
+from pdegensol.numeric import NestLimitExceeded, NumericConfig, SamplingExhausted
 from pdegensol.verifier import (
     FAMILY_TOL,
     HINTS,
@@ -61,6 +61,14 @@ def test_draw_scenario_exhaustion():
     impossible = SamplingHints(admissible=lambda p: False)
     with pytest.raises(SamplingExhausted):
         draw_scenario(fam, rng, 0, 4, CFG, hints=impossible)
+
+
+def test_prescan_lets_eval_errors_through():
+    # a nesting limit below 4.4's depth is no property of the scenario, so
+    # the pre-scan does not redraw: the error reaches the caller
+    cfg = NumericConfig().with_(nest_limit=3)
+    with pytest.raises(NestLimitExceeded):
+        verify_family("4.4", cfg=cfg, n_scenarios=1, n_points=2)
 
 
 def test_scenario_residuals_resamples_bad_points():
