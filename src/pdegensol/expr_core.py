@@ -5,9 +5,11 @@ powers, exp/ln/sqrt/trig, unknown-function applications F(t), a(t, x) and
 their derivatives G'(x), D[1,0]a(t,x), definite integrals with a named base
 point as lower limit, implicit roots (rootof), and local bindings (let).
 
-Nodes are immutable and hash-consed by value: structural equality, cached
-hashes, cached free-variable sets.  Nothing here is numeric; evaluation
-lives in pdegensol.numeric.
+Nodes are immutable, with structural equality and cached hashes and
+free-name sets.  Equal trees may be distinct objects; the numeric engine
+hash-conses the trees it evaluates.  map_children is the one place that
+knows which fields hold children and how a node is rebuilt from new ones.
+Nothing here is numeric; evaluation lives in pdegensol.numeric.
 """
 
 from __future__ import annotations
@@ -297,6 +299,42 @@ ONE = Const(1)
 TWO = Const(2)
 
 
+def map_children(e: Expr, fn, fields=None) -> Expr:
+    """e with each child c replaced by fn(c), in field order.  A child is
+    an Expr field or an element of a non-empty tuple-of-Expr field; fields,
+    when given, restricts the mapping to those fields.  e itself comes back
+    when every child does."""
+    new = {}
+    for f in e._fields if fields is None else fields:
+        v = getattr(e, f)
+        if isinstance(v, Expr):
+            nv = fn(v)
+            if nv is not v:
+                new[f] = nv
+        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
+            nv = tuple(map(fn, v))
+            if any(a is not b for a, b in zip(nv, v)):
+                new[f] = nv
+    return _replace(e, new) if new else e
+
+
+def _replace(e: Expr, new: dict) -> Expr:
+    """e rebuilt with the fields in new replaced."""
+    return e.__class__(**{f: new.get(f, getattr(e, f)) for f in e._fields})
+
+
+def _flat(cls, items) -> Expr:
+    """cls(items), cls being Add or Mul, with each item that is itself a cls
+    node replaced by its operands: one level deep, order kept."""
+    out: list = []
+    for t in items:
+        if isinstance(t, cls):
+            out.extend(t.children())
+        else:
+            out.append(t)
+    return cls(out)
+
+
 def is_const(e: Expr, v=None) -> bool:
     if not isinstance(e, Const):
         return False
@@ -421,15 +459,7 @@ class _Parser:
             op = self.next().kind
             t = self.term()
             terms.append(t if op == "+" else Neg(t))
-        if len(terms) == 1:
-            return terms[0]
-        flat = []
-        for t in terms:
-            if isinstance(t, Add):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        return Add(flat)
+        return terms[0] if len(terms) == 1 else _flat(Add, terms)
 
     def term(self) -> Expr:
         first = self.factor()
@@ -440,21 +470,9 @@ class _Parser:
             if op == "*":
                 factors.append(f)
             else:
-                acc = factors[0] if len(factors) == 1 else Mul(self._flat_mul(factors))
+                acc = factors[0] if len(factors) == 1 else _flat(Mul, factors)
                 factors = [Div(acc, f)]
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(self._flat_mul(factors))
-
-    @staticmethod
-    def _flat_mul(factors):
-        flat = []
-        for f in factors:
-            if isinstance(f, Mul):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        return flat
+        return factors[0] if len(factors) == 1 else _flat(Mul, factors)
 
     def factor(self) -> Expr:
         # unary minus binds looser than '^': -x^2 is -(x^2)
@@ -528,27 +546,31 @@ class _Parser:
     def func_app(self, name: str, t: _Tok, primes: int) -> Expr:
         if name not in self.env.functions:
             self.err(f"unknown function {name!r}", t)
-        arity = self.env.functions[name]
-        self.expect("(")
-        args = [self.expr()]
+        args = self.arguments(name, t)
+        if primes and len(args) != 1:
+            self.err("prime notation needs a one-argument function", t)
+        return FuncApp(name, args, (primes,) if primes else None)
+
+    def items(self, open_: str, item, close: str) -> list:
+        """open_ item {"," item} close"""
+        self.expect(open_)
+        out = [item()]
         while self.peek().kind == ",":
             self.next()
-            args.append(self.expr())
-        self.expect(")")
+            out.append(item())
+        self.expect(close)
+        return out
+
+    def arguments(self, name: str, t: _Tok) -> tuple:
+        """The parenthesized argument list of function name, arity checked."""
+        args = self.items("(", self.expr, ")")
+        arity = self.env.functions[name]
         if len(args) != arity:
             self.err(f"function {name!r} takes {arity} argument(s), got {len(args)}", t)
-        if primes and arity != 1:
-            self.err("prime notation needs a one-argument function", t)
-        orders = (primes,) + (0,) * (arity - 1) if primes else None
-        return FuncApp(name, tuple(args), orders)
+        return tuple(args)
 
     def dform(self, t: _Tok) -> Expr:
-        self.expect("[")
-        orders = [int(self.expect("num").text)]
-        while self.peek().kind == ",":
-            self.next()
-            orders.append(int(self.expect("num").text))
-        self.expect("]")
+        orders = self.items("[", lambda: int(self.expect("num").text), "]")
         ft = self.next()
         if ft.kind not in ("name", "pname"):
             self.err("expected function name after D[...]", ft)
@@ -557,15 +579,7 @@ class _Parser:
             self.err(f"unknown function {name!r}", ft)
         if self.env.functions[name] != len(orders):
             self.err(f"D[...] order list length must match arity of {name!r}", ft)
-        self.expect("(")
-        args = [self.expr()]
-        while self.peek().kind == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        if len(args) != self.env.functions[name]:
-            self.err(f"function {name!r} takes {self.env.functions[name]} argument(s)", ft)
-        return FuncApp(name, tuple(args), tuple(orders))
+        return FuncApp(name, self.arguments(name, ft), tuple(orders))
 
     def dummy_name(self) -> str:
         t = self.next()
@@ -732,45 +746,10 @@ def to_text(e: Expr) -> str:
 def flatten(e: Expr) -> Expr:
     """Flatten nested Add/Mul without reordering; used to state the
     print/parse round-trip law."""
-    kids = {f: getattr(e, f) for f in e._fields}
-    changed = False
-    for f, v in kids.items():
-        if isinstance(v, Expr):
-            nv = flatten(v)
-            if nv is not v:
-                kids[f] = nv
-                changed = True
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
-            nv = tuple(flatten(c) for c in v)
-            if any(a is not b for a, b in zip(nv, v)):
-                kids[f] = nv
-                changed = True
-    if changed:
-        e = _rebuild(e, kids)
-    if isinstance(e, Add):
-        flat: list = []
-        for t in e.terms:
-            if isinstance(t, Add):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        if len(flat) != len(e.terms):
-            return Add(flat)
-    if isinstance(e, Mul):
-        flat = []
-        for f2 in e.factors:
-            if isinstance(f2, Mul):
-                flat.extend(f2.factors)
-            else:
-                flat.append(f2)
-        if len(flat) != len(e.factors):
-            return Mul(flat)
+    e = map_children(e, flatten)
+    if isinstance(e, (Add, Mul)):
+        return _flat(e.__class__, e.children())
     return e
-
-
-def _rebuild(e: Expr, kids: dict) -> Expr:
-    cls = e.__class__
-    return cls(**kids) if cls is not Const else Const(kids["value"])
 
 
 # ---------------------------------------------------------------------------
@@ -809,58 +788,31 @@ def _subst(e: Expr, subs: dict, repl_free: frozenset) -> Expr:
         return subs.get(e.name, e)
     if isinstance(e, (Integral, RootOf, Let)):
         return _subst_binder(e, subs, repl_free)
-    kids = {}
-    for f in e._fields:
-        v = getattr(e, f)
-        if isinstance(v, Expr):
-            kids[f] = _subst(v, subs, repl_free)
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
-            kids[f] = tuple(_subst(c, subs, repl_free) for c in v)
-        else:
-            kids[f] = v
-    return _rebuild(e, kids)
+    return map_children(e, lambda c: _subst(c, subs, repl_free))
+
+
+# binder class: (the field naming its dummy, the field the dummy is bound in)
+_BINDERS = {Integral: ("dummy", "integrand"), RootOf: ("dummy", "body"),
+            Let: ("name", "body")}
 
 
 def _subst_binder(e, subs: dict, repl_free: frozenset):
-    if isinstance(e, Integral):
-        dummy, scoped = e.dummy, ("integrand",)
-    elif isinstance(e, RootOf):
-        dummy, scoped = e.dummy, ("body",)
-    else:
-        dummy, scoped = e.name, ("body",)
+    name_field, scope = _BINDERS[e.__class__]
+    dummy = getattr(e, name_field)
     inner_subs = {k: v for k, v in subs.items() if k != dummy}
-    if dummy in repl_free and inner_subs:
-        hits = any(getattr(e, f)._free & inner_subs.keys() for f in scoped)
-        if hits:
-            # the binder's dummy occurs free in a replacement: rename it
-            avoid = set(repl_free) | set(e._free) | {dummy} | set(inner_subs)
-            for f in scoped:
-                avoid |= getattr(e, f)._free
-            new_dummy = _fresh(dummy, avoid)
-            ren = {dummy: Var(new_dummy)}
-            kids = {}
-            for f in e._fields:
-                v = getattr(e, f)
-                if f in scoped and isinstance(v, Expr):
-                    kids[f] = _subst(v, ren, frozenset({new_dummy}))
-                else:
-                    kids[f] = v
-            # base points are named scenario constants: renaming the dummy
-            # does not rename the base point
-            if isinstance(e, (Integral, RootOf)):
-                kids["dummy"] = new_dummy
-            else:
-                kids["name"] = new_dummy
-            e = _rebuild(e, kids)
-    kids = {}
-    for f in e._fields:
-        v = getattr(e, f)
-        if isinstance(v, Expr):
-            use = inner_subs if f in scoped else subs
-            kids[f] = _subst(v, use, repl_free) if use else v
-        else:
-            kids[f] = v
-    return _rebuild(e, kids)
+    body = getattr(e, scope)
+    if dummy in repl_free and body._free & inner_subs.keys():
+        # the binder's dummy occurs free in a replacement: rename it.  Base
+        # points are named scenario constants: renaming the dummy does not
+        # rename the base point
+        avoid = set(repl_free) | set(e._free) | {dummy} | set(inner_subs)
+        new_dummy = _fresh(dummy, avoid | body._free)
+        ren = {dummy: Var(new_dummy)}
+        e = _replace(e, {name_field: new_dummy,
+                         scope: _subst(body, ren, frozenset({new_dummy}))})
+    outside = tuple(f for f in e._fields if f != scope)
+    e = map_children(e, lambda c: _subst(c, subs, repl_free), outside)
+    return map_children(e, lambda c: _subst(c, inner_subs, repl_free), (scope,))
 
 
 # ---------------------------------------------------------------------------
@@ -906,13 +858,7 @@ def _sum(terms):
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    flat = []
-    for t in terms:
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    return Add(flat)
+    return _flat(Add, terms)
 
 
 def _prod(factors):
@@ -923,13 +869,7 @@ def _prod(factors):
         return ONE
     if len(fs) == 1:
         return fs[0]
-    flat = []
-    for f in fs:
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    return Mul(flat)
+    return _flat(Mul, fs)
 
 
 def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
@@ -1025,31 +965,15 @@ def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Value-preserving cleanup: constant folding, neutral-element removal,
     sign normalization, flattening.  No aggressive rewriting."""
-    return _simp(e, {})
+    memo: dict = {}
 
+    def simp(n: Expr) -> Expr:
+        out = memo.get(n)
+        if out is None:
+            out = memo[n] = _simp_top(map_children(n, simp))
+        return out
 
-def _simp(e: Expr, memo: dict) -> Expr:
-    got = memo.get(e)
-    if got is not None:
-        return got
-    kids = {}
-    changed = False
-    for f in e._fields:
-        v = getattr(e, f)
-        if isinstance(v, Expr):
-            nv = _simp(v, memo)
-            kids[f] = nv
-            changed = changed or nv is not v
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
-            nv = tuple(_simp(c, memo) for c in v)
-            kids[f] = nv
-            changed = changed or any(a is not b for a, b in zip(nv, v))
-        else:
-            kids[f] = v
-    node = _rebuild(e, kids) if changed else e
-    out = _simp_top(node)
-    memo[e] = out
-    return out
+    return simp(e)
 
 
 def _simp_top(e: Expr) -> Expr:

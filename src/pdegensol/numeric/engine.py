@@ -162,9 +162,11 @@ class _NodeCache:
         return ent[1]
 
 
-# canonical node per structure: class, literal fields and the identities
-# of the (canonical) children.  The keys hold ids only; each canonical node
-# is pinned as a value, and so are its children through its fields.
+# canonical node per structure, keyed by (the identities of its canonical
+# children, the node).  The node's own equality then compares class and
+# literal fields, and meets its children as identical objects; the ids keep
+# equal children that are distinct objects (roots) apart.  Each key pins its
+# node, and so its children.
 _canon: Dict[tuple, X.Expr] = {}
 
 
@@ -176,28 +178,8 @@ def _intern(e: X.Expr) -> X.Expr:
     keep their own warm-start seeds."""
     if isinstance(e, X.RootOf):
         return e
-    key = [e.__class__]
-    kids = {}
-    same = True
-    for f in e._fields:
-        v = getattr(e, f)
-        if isinstance(v, X.Expr):
-            c = _interned(v)
-            key.append(id(c))
-            same = same and c is v
-        elif isinstance(v, tuple) and v and isinstance(v[0], X.Expr):
-            c = tuple(_interned(a) for a in v)
-            key.append(tuple(map(id, c)))
-            same = same and all(a is b for a, b in zip(c, v))
-        else:
-            c = v
-            key.append((type(v), v))
-        kids[f] = c
-    key = tuple(key)
-    got = _canon.get(key)
-    if got is None:
-        got = _canon[key] = e if same else e.__class__(**kids)
-    return got
+    node = X.map_children(e, _interned)
+    return _canon.setdefault((tuple(map(id, node.children())), node), node)
 
 
 _interned = _NodeCache(_intern)

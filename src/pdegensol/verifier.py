@@ -541,21 +541,7 @@ def crosscheck_derivatives(
 
 
 def _negate_seeds(e: X.Expr) -> X.Expr:
-    kids = {f: getattr(e, f) for f in e._fields}
-    changed = False
-    for f, v in kids.items():
-        if isinstance(v, X.Expr):
-            nv = _negate_seeds(v)
-            if nv is not v:
-                kids[f] = nv
-                changed = True
-        elif isinstance(v, tuple) and v and isinstance(v[0], X.Expr):
-            nv = tuple(_negate_seeds(c) for c in v)
-            if any(a is not b for a, b in zip(nv, v)):
-                kids[f] = nv
-                changed = True
-    if changed:
-        e = e.__class__(**kids)
+    e = X.map_children(e, _negate_seeds)
     if isinstance(e, X.RootOf):
         return X.RootOf(e.dummy, e.body, -e.seed)
     return e

@@ -1,4 +1,7 @@
-"""Parsing, printing, and the parse/print round trip."""
+"""Parsing, printing, the parse/print round trip, and the tree-rewrite
+primitive."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from pdegensol.expr_core import (
     Const,
     Div,
     Env,
+    Expr,
     FuncApp,
     Integral,
     Let,
@@ -19,6 +23,7 @@ from pdegensol.expr_core import (
     RootOf,
     Var,
     flatten,
+    map_children,
     parse,
     to_text,
 )
@@ -187,3 +192,45 @@ _texts = st.recursive(_atoms, _wrap, max_leaves=12)
 def test_print_parse_round_trip(text):
     e = parse(text, ENV)
     assert flatten(parse(to_text(e), ENV)) == flatten(e)
+
+
+# --- map_children: the one node-rebuild primitive --------------------------
+
+
+def _child_fields(e):
+    # an Expr field, or a non-empty tuple of Expr
+    return [f for f in e._fields
+            if isinstance(getattr(e, f), Expr)
+            or isinstance(getattr(e, f), tuple) and getattr(e, f)
+            and isinstance(getattr(e, f)[0], Expr)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_map_children_identity_returns_the_node(text):
+    e = parse(text, ENV)
+    assert map_children(e, lambda c: c) is e
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_map_children_copies_rebuild_an_equal_node(text):
+    e = parse(text, ENV)
+    out = map_children(e, copy.copy)
+    assert out == e
+    kids, new_kids = list(e.children()), list(out.children())
+    assert len(new_kids) == len(kids)
+    assert all(a == b and a is not b for a, b in zip(new_kids, kids))
+    assert (out is e) == (not kids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_map_children_fields_leaves_other_fields_alone(text):
+    e = parse(text, ENV)
+    for f in _child_fields(e):
+        out = map_children(e, copy.copy, fields=(f,))
+        assert out == e and out is not e
+        for g in e._fields:
+            if g != f:
+                assert getattr(out, g) is getattr(e, g)
