@@ -8,7 +8,6 @@ from .expr_core import (  # noqa: F401
     Expr,
     ParseError,
     differentiate,
-    free_variables,
     parse,
     simplify,
     substitute,

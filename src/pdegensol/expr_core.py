@@ -71,9 +71,6 @@ class Expr:
             return False
         return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return f"<{self.__class__.__name__} {to_text(self)}>"
 
@@ -753,13 +750,7 @@ def flatten(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and substitution
-
-
-def free_variables(e: Expr) -> frozenset:
-    """Free names in e: variables, parameters, and unbound dummies.
-    Function names and base points are not included."""
-    return e._free
+# Substitution
 
 
 def _fresh(base: str, avoid) -> str:

@@ -81,13 +81,11 @@ class EvalContext:
         self.guard_scale = guard_scale
         self.depth = 0
         if _shared is None:
-            _shared = {"causes": [], "root_cache": {}, "hoisted": {},
-                       "stats": {"quad_panels": 0, "root_solves": 0}}
+            _shared = {"causes": [], "root_cache": {}, "hoisted": {}}
         self._shared = _shared
         self.causes: List[Tuple[str, str]] = _shared["causes"]
         self.root_cache: Dict[int, tuple] = _shared["root_cache"]
         self.hoisted: Dict[tuple, tuple] = _shared["hoisted"]
-        self.stats: Dict[str, int] = _shared["stats"]
 
     @property
     def den_guard(self):
@@ -399,7 +397,6 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         return _ev(e.integrand, ienv, c, dummy.shape[1], {})
 
     def integrand_eval(panels: Panels, cols: np.ndarray) -> np.ndarray:
-        ctx.stats["quad_panels"] += 1
         m, npan = panels.size, cols.size
         step = max(1, _LEAF_SLICE // 15)
         if not leaf or npan <= step:
@@ -451,7 +448,6 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
         en[e.dummy] = JetBatch.constants(viset, zs)
         return _widen(_ev(body_z, en, vctx, zs.size, {}), zs.size).data[0]
 
-    ctx.stats["root_solves"] += 1
     seeds = _root_seeds(e, ctx, n)
     roots, status = rootfind.bracket_bisect_newton(fval, fprime, seeds, ctx.cfg)
     fail = status != rootfind.OK

@@ -9,8 +9,9 @@ attributed to the catalog entry rather than to the evaluator.
 
 Verdicts: PASS (all residuals within tolerance and the cross-check agrees),
 FAIL (residuals exceed tolerance while the cross-check confirms the
-derivatives), INDETERMINATE (sampling or evaluation could not produce
-trustworthy numbers).
+derivatives, both at the scenario's first points and where it failed),
+INDETERMINATE (sampling or evaluation could not produce trustworthy
+numbers).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ MAX_RESAMPLE_ROUNDS = 8
 # evaluation guards are widened by this factor during the pre-scan, so
 # accepted scenarios sit comfortably inside the admissible region
 PRESCAN_GUARD = 10.0
+# points per scenario the finite-difference cross-check visits: the first
+# ones, and in a failing scenario also its worst-residual ones
+XCHECK_POINTS = 2
 
 # per-family residual tolerances; the implicit-root families carry an extra
 # digit of slack because every derivative passes through the root solve
@@ -622,24 +626,21 @@ def verify_family(
     seed: int = 1,
     tol_rel: Optional[float] = None,
     xcheck_tol: float = 1e-4,
-    xcheck_points: int = 2,
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
-    hints: Optional[SamplingHints] = None,
     probe_branches: bool = False,
 ) -> VerificationReport:
     """Verify one family over randomized scenarios.
 
     A FAIL verdict is only issued when the finite-difference cross-check
-    agrees with the jet derivatives at the failing scenario and the
-    tolerance sits well above the numeric floor; anything murkier is
-    INDETERMINATE."""
+    agrees with the jet derivatives in the failing scenario, at its first
+    and at its worst-residual points, and the tolerance sits well above the
+    numeric floor; anything murkier is INDETERMINATE."""
     fam = family if isinstance(family, PdeFamily) else get_family(family)
     cfg = cfg or NumericConfig()
     tol = tol_rel if tol_rel is not None else FAMILY_TOL.get(
         fam.family_id, DEFAULT_TOL_REL)
-    h = hints if hints is not None else HINTS.get(fam.family_id,
-                                                  SamplingHints())
+    h = HINTS.get(fam.family_id, SamplingHints())
     floor = 100.0 * cfg.quad_rel_tol
     can_fail = tol >= 10.0 * floor
 
@@ -678,15 +679,19 @@ def verify_family(
         mx = float(rel.max())
         worst_rel = max(worst_rel, mx)
 
-        k = min(xcheck_points, n_points)
+        k = min(XCHECK_POINTS, n_points)
         dev = crosscheck_derivatives(
             fam, scn, jet_data, iset, np.arange(k), cfg)
-        worst_dev = max(worst_dev, dev)
-
         if mx > tol:
             failing = True
-            if not (dev <= xcheck_tol):
+            # the jets must agree where the residual failed, too
+            worst_pts = np.sort(np.argsort(-rel, kind="stable")[:k])
+            dev_worst = crosscheck_derivatives(
+                fam, scn, jet_data, iset, worst_pts, cfg)
+            if not (dev <= xcheck_tol and dev_worst <= xcheck_tol):
                 fail_confirmed = False
+            dev = max(dev, dev_worst)
+        worst_dev = max(worst_dev, dev)
         scen_rows.append({
             "index": idx,
             "status": "ok",
@@ -723,7 +728,7 @@ def verify_family(
 
     probe = None
     if probe_branches and _has_rootof(fam.solution):
-        probe = _probe_alternate_branch(fam, cfg, seed, n_points, h,
+        probe = _probe_alternate_branch(fam, cfg, seed, n_points,
                                         base_shift, param_overrides)
 
     report = VerificationReport(
@@ -751,7 +756,7 @@ def verify_family(
     return report
 
 
-def _probe_alternate_branch(fam, cfg, seed, n_points, hints, base_shift,
+def _probe_alternate_branch(fam, cfg, seed, n_points, base_shift,
                             param_overrides) -> dict:
     """Re-run one scenario against the solution with all root seeds negated.
     A second real branch of the root manifold, when one exists, should solve
@@ -759,7 +764,7 @@ def _probe_alternate_branch(fam, cfg, seed, n_points, hints, base_shift,
     alt = _negate_seeds(fam.solution)
     rng = _scenario_rng(seed, fam.family_id, 0)
     try:
-        scn = draw_scenario(fam, rng, 0, n_points, cfg, hints, base_shift,
+        scn = draw_scenario(fam, rng, 0, n_points, cfg, None, base_shift,
                             param_overrides)
     except SamplingExhausted:
         return {"branch": "negated_seed", "status": "sampling_exhausted"}

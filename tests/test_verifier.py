@@ -152,6 +152,29 @@ def test_wrong_solution_fails_with_confirmed_crosscheck():
     assert r.xcheck_max_dev <= r.xcheck_tol
 
 
+def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
+    # a jet that is wrong at point 3 only: the residual fails there while
+    # the cross-check at points 0 and 1 agrees, so only a cross-check at
+    # the failing point can tell that the evaluator, not the solution, is
+    # at fault
+    real = verifier._eval_rel
+
+    def wrong_at_3(fam, scn, pts, cfg, solution=None):
+        rel, data, iset, kinds = real(fam, scn, pts, cfg, solution)
+        for mi, row in iset.pos.items():
+            if sum(mi):
+                data[row, 3] += 1.0
+        rel[3] = 0.5
+        return rel, data, iset, kinds
+
+    monkeypatch.setattr(verifier, "_eval_rel", wrong_at_3)
+    r = verify_family("3.1", n_scenarios=1, n_points=6, seed=1)
+    assert r.verdict == "INDETERMINATE"
+    assert any("evaluator suspect" in n for n in r.notes)
+    assert r.xcheck_max_dev > r.xcheck_tol
+    assert r.scenarios[0]["xcheck_max_dev"] > r.xcheck_tol
+
+
 def test_tolerance_floor_guards_fail_verdict():
     import copy
 
@@ -252,8 +275,7 @@ def _one_record_family(pde, sol):
 ])
 def test_probe_status(pde, sol, status):
     fam = _one_record_family(pde, sol)
-    probe = _probe_alternate_branch(fam, CFG, 1, 6, SamplingHints(), 0.0,
-                                    None)
+    probe = _probe_alternate_branch(fam, CFG, 1, 6, 0.0, None)
     assert probe["status"] == status
 
 
