@@ -391,7 +391,8 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         own = panels.cols[lo:hi]
         ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
                 for nm in names}
-        dummy = np.zeros((iset.K, 15 * own.size))
+        # nodes() writes row 0; at K=1 that is the whole jet
+        dummy = (np.empty if iset.K == 1 else np.zeros)((iset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
         ienv[e.dummy] = JetBatch(iset, dummy)
         return _ev(e.integrand, ienv, c, dummy.shape[1], {})

@@ -17,7 +17,11 @@ All derivative propagation is table-driven:
 
 Value-only (K=1) batches skip the Leibniz and Faa di Bruno tables: mul
 returns the plain product a * b, bit-identical to the table-driven result,
-and the compose and chain loops over rows k >= 1 are empty.
+and compose and chain return their value row itself as the (1, n) jet, a
+view rather than a copy, when that row is a fresh, full-width, writeable
+array (a ufunc result made for the call); a row that is a view, a
+broadcast or narrower is copied, so no result shares memory with an
+input.
 
 Failures poison affected columns with NaN; callers record causes."""
 
@@ -178,6 +182,8 @@ class IndexSet:
     def compose(self, phis: List[np.ndarray], u: np.ndarray) -> np.ndarray:
         """phis[r] = phi^(r) evaluated at u's value row; returns jet of
         phi(u)."""
+        if self.K == 1:
+            return _value_row(phis[0], u.shape[1:])
         out = np.empty_like(u)
         out[0] = phis[0]
         for k in range(1, self.K):
@@ -228,6 +234,8 @@ class IndexSet:
         table = self.chain_table(m)
         f0 = f_at[(0,) * m]
         # sized from f_at: an argument may be a width-1 constant
+        if self.K == 1:
+            return _value_row(f0, np.shape(f0))
         out = np.empty((self.K,) + np.shape(f0))
         out[0] = f0
         for k in range(1, self.K):
@@ -285,6 +293,19 @@ class IndexSet:
                 acc = term if acc is None else acc + term
             if acc is not None:
                 out[k] += sign * acc
+
+
+def _value_row(v, shape) -> np.ndarray:
+    """The (1, n) jet of a value-only result: v itself as its one row when
+    v is a fresh, writeable array of the full width (a ufunc result the
+    caller hands over), else a copy, so the jet never shares memory with
+    another array."""
+    if (isinstance(v, np.ndarray) and v.base is None and v.flags.writeable
+            and v.shape == shape and v.dtype == np.float64):
+        return v.reshape((1,) + shape)
+    out = np.empty((1,) + shape)
+    out[0] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

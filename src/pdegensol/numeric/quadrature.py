@@ -8,10 +8,15 @@ receives the round as Panels (centres, half-widths and owner columns), not
 as a node array: it builds the nodes itself, all at once or a range of
 panels at a time, and reads per-column data once per panel, so neither
 side holds a node-length copy of the owners.  The rest of a round works at
-panel length, apart from the two reductions I15 and I7, which stay
-whole-batch matrix products written exactly as below: their last bits
-depend on how they are computed, and I7 decides convergence.  The layout
-of the result is pinned too (see adaptive_gk_batched).
+panel length, in place where the operations and operands stay the same,
+apart from the two reductions I15 and I7, which stay whole-batch matrix
+products written exactly as below: their last bits depend on how they are
+computed, and I7 decides convergence.  The layout of I7's operand is part
+of that: gauss_rows copies the 7 Gauss columns a block of panels at a time
+into the very buffer layout numpy's fancy gather would allocate, because
+the matmul picks its kernel from the layout and a C-ordered copy of the
+same values gives other bits.  The layout of the result is pinned too (see
+adaptive_gk_batched).
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
@@ -66,6 +71,32 @@ WEIGHTS = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
+# panels per block of the Gauss gather: a block's 15-node rows stay in cache
+# while its 7 Gauss columns are written out.  At 1.8e6 panels, K=1, blocks
+# of 512 to 8 K panels took 59-62 ms, one whole-array copy 143 ms and the
+# fancy gather 133 ms; about 27 ms of each is first-touching the buffer
+GATHER_ROWS = 2048
+
+
+def gauss_rows(vals: np.ndarray) -> np.ndarray:
+    """vals[:, :, GAUSS_IDX] for vals of shape (K, n, 15): the same values,
+    shape and strides, copied a block of panels at a time.
+
+    numpy's fancy gather writes a (7, K, n) buffer, the (K, n) axes ordered
+    by vals' own strides (largest first), and returns it as (K, n, 7).
+    The matmul with GAUSS_W picks its kernel from that layout, and a
+    C-ordered copy of the same values gives other I7 bits, so this buffer
+    has that layout too."""
+    K, n, _ = vals.shape
+    if abs(vals.strides[0]) < abs(vals.strides[1]):
+        out = np.empty((7, n, K)).transpose(2, 1, 0)
+    else:
+        out = np.empty((7, K, n)).transpose(1, 2, 0)
+    src = vals[:, :, 1::2]  # GAUSS_IDX as a strided view
+    for lo in range(0, n, GATHER_ROWS):
+        out[:, lo:lo + GATHER_ROWS] = src[:, lo:lo + GATHER_ROWS]
+    return out
+
 
 class Panels:
     """The panels of one adaptive round: centres mid, half-widths half and
@@ -112,9 +143,12 @@ def adaptive_gk_batched(
     numpy sums pairwise along a contiguous axis and in sequence along a
     strided one, so the reductions downstream give other last bits on a
     C-ordered copy of the same values (3.9's residual at verify seed 41
-    moves).  Columns that fail (NaN from the integrand, or no convergence
-    before the depth limit) come back NaN; nonconvergent columns are also
-    reported via on_noconv.
+    moves).  I7's operand has a pinned layout for the same reason, and
+    more at stake: the convergence test compares I7's bits with the
+    budget, so gauss_rows(vals) must lay its buffer out as
+    vals[:, :, GAUSS_IDX] does.  Columns that fail (NaN from the integrand,
+    or no convergence before the depth limit) come back NaN; nonconvergent
+    columns are also reported via on_noconv.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -122,16 +156,18 @@ def adaptive_gk_batched(
     sign = np.where(hi >= lo, 1.0, -1.0)
     a0 = np.minimum(lo, hi)
     b0 = np.maximum(lo, hi)
-    L = np.maximum(b0 - a0, 1e-300)
+    L = b0 - a0
+    live = L > 0.0
+    np.maximum(L, 1e-300, out=L)
 
     total = np.zeros((N, K))
     dead = np.zeros(N, dtype=bool)  # poisoned by NaN integrand
     noconv = np.zeros(N, dtype=bool)
 
-    cols = np.arange(N)
-    ia, ib = a0.copy(), b0.copy()
-    live = (ib - ia) > 0.0
-    cols, ia, ib = cols[live], ia[live], ib[live]
+    # nothing below writes into ia or ib: each round builds fresh ones
+    cols, ia, ib = np.arange(N), a0, b0
+    if not live.all():
+        cols, ia, ib = cols[live], ia[live], ib[live]
 
     per_col = np.zeros(N, dtype=np.int64)
     panels_total = 0
@@ -153,33 +189,45 @@ def adaptive_gk_batched(
             cols, ia, ib = cols[keep], ia[keep], ib[keep]
             if not cols.size:
                 break
-        half = 0.5 * (ib - ia)
-        mid = 0.5 * (ia + ib)
+        half = ib - ia
+        half *= 0.5
+        mid = ia + ib
+        mid *= 0.5
         vals = evalfn(Panels(mid, half, cols), cols).reshape(K, cols.size, 15)
         # non-finite samples make the estimates meaningless; the bad mask
         # disposes of those columns, so silence the arithmetic
         with np.errstate(invalid="ignore", over="ignore"):
-            I15 = (vals @ WEIGHTS) * half
-            I7 = (vals[:, :, GAUSS_IDX] @ GAUSS_W) * half
-            errs = np.abs(I15 - I7)
+            I15 = vals @ WEIGHTS
+            I15 *= half
+            errs = gauss_rows(vals) @ GAUSS_W
+            errs *= half
+            np.subtract(I15, errs, out=errs)
+            np.abs(errs, out=errs)
         # every Kronrod weight is positive, so a NaN or infinite sample makes
         # its column's I15 non-finite; the exact test runs on those columns
         # only, as finite samples can also overflow in the sum
         bad = ~np.isfinite(I15).all(axis=0)
         if bad.any():
             bad[bad] = ~np.isfinite(vals[:, bad]).all(axis=(0, 2))
-        ref = np.abs(total[cols].T) + np.abs(I15)
-        budget = np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * ref)
-        budget *= (2.0 * half / L[cols])[None, :]
+        del vals
+        # total is all zeros in round 0, and 0 + |I15| is |I15|
+        ref = np.abs(I15)
+        if depth:
+            ref = np.abs(total[cols].T) + ref
+        budget = np.multiply(ref, cfg.quad_rel_tol, out=ref)
+        np.maximum(budget, cfg.quad_abs_tol, out=budget)
+        half *= 2.0
+        half /= L[cols]
+        budget *= half
         ok = (errs <= budget).all(axis=0) & ~bad
         if bad.any():
             dead[cols[bad]] = True
         if ok.any():
             # one jet row at a time: the same adds in the same order as one
             # 2-D add.at, on numpy's fast 1-D path
-            done = cols[ok]
+            done, conv = (cols, I15) if ok.all() else (cols[ok], I15[:, ok])
             for k in range(K):
-                np.add.at(total[:, k], done, I15[k, ok])
+                np.add.at(total[:, k], done, conv[k])
         rest = ~ok & ~bad
         if rest.any():
             rc, ra, rb, rm = cols[rest], ia[rest], mid[rest], ib[rest]

@@ -238,6 +238,29 @@ def test_k1_unary_ops_match_row0(op):
     assert _same(full.data[0], one.data[0])
 
 
+def test_k1_results_share_no_memory_with_inputs():
+    # at K=1 compose and chain hand back their fresh value row as the
+    # jet's one row instead of copying it; an input's row must still be
+    # copied, never aliased
+    vo = K4.value_only()
+    x = JetBatch.variable(vo, "t", np.linspace(0.1, 0.9, 7))
+    e = jb_exp(x)
+    assert e.data.shape == (1, 7) and not np.shares_memory(e.data, x.data)
+    u = x.data
+    out = vo.compose([u[0]], u)
+    assert np.array_equal(out, u) and not np.shares_memory(out, u)
+    # a width-1 hoisted argument: the engine broadcasts its derivative
+    # value to the batch width, and chain must copy that read-only view
+    arg = np.array([[0.5]])
+    f0 = np.broadcast_to(np.exp(arg[0]), (7,))
+    out = vo.chain({(0,): f0}, [arg])
+    assert out.shape == (1, 7) and out.flags.writeable
+    assert not np.shares_memory(out, f0) and not np.shares_memory(out, arg)
+    fresh = np.exp(u[0])
+    out = vo.chain({(0,): fresh}, [u])
+    assert np.shares_memory(out, fresh) and not np.shares_memory(out, u)
+
+
 def test_compose_table_third_order_one_variable():
     # d^3 phi(u) = phi''' u'^3 + 3 phi'' u' u'' + phi' u'''          [DERIVED]
     iset = IndexSet(("t",), {(3,)})

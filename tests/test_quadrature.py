@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pdegensol.numeric import NumericConfig
-from pdegensol.numeric.quadrature import (GAUSS_IDX, GAUSS_W, NODES, WEIGHTS,
-                                          Panels, adaptive_gk_batched)
+from pdegensol.numeric.quadrature import (GATHER_ROWS, GAUSS_IDX, GAUSS_W,
+                                          NODES, WEIGHTS, Panels,
+                                          adaptive_gk_batched, gauss_rows)
 
 
 CFG = NumericConfig()
@@ -213,3 +214,24 @@ def test_driver_returns_f_ordered_rows():
         np.zeros(5), np.linspace(0.5, 2.5, 5), K, CFG)
     assert data.shape == (K, 5)
     assert data.flags.f_contiguous and not data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("n", [1, GATHER_ROWS - 1, GATHER_ROWS,
+                               GATHER_ROWS + 1, 3 * GATHER_ROWS + 5])
+def test_gauss_rows_is_the_fancy_gather(K, n):
+    # I7 decides convergence, and its matmul picks its kernel from the
+    # layout of the gathered buffer: the blocked copy must have the fancy
+    # gather's values, shape and strides, and give the same I7 bits.  The
+    # driver's vals arrive C-ordered from leaf integrands and may be
+    # F-ordered at K > 1 (an inner integral's result)
+    rs = np.random.default_rng(n + K)
+    flat = rs.standard_normal((K, 15 * n)) * 10.0 ** rs.integers(
+        -8, 8, (K, 15 * n))
+    for vals in (flat.reshape(K, n, 15),
+                 np.asfortranarray(flat).reshape(K, n, 15)):
+        want = vals[:, :, GAUSS_IDX]
+        got = gauss_rows(vals)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got @ GAUSS_W), _bits(want @ GAUSS_W))
