@@ -8,7 +8,8 @@ point as lower limit, implicit roots (rootof), and local bindings (let).
 Nodes are immutable, with structural equality and cached hashes and
 free-name sets.  Equal trees may be distinct objects; the numeric engine
 hash-conses the trees it evaluates.  map_children is the one place that
-knows which fields hold children and how a node is rebuilt from new ones.
+knows which fields hold children and how a node is rebuilt from new ones;
+node_key names the node such a rebuild would give without building it.
 Nothing here is numeric; evaluation lives in pdegensol.numeric.
 """
 
@@ -313,6 +314,23 @@ def map_children(e: Expr, fn, fields=None) -> Expr:
             if any(a is not b for a, b in zip(nv, v)):
                 new[f] = nv
     return _replace(e, new) if new else e
+
+
+def node_key(e: Expr, fn) -> tuple:
+    """e's class and fields as a hashable key, with fn(c) standing for each
+    child c (as in map_children) and (type, value) for each literal field:
+    two nodes get equal keys when they differ at most in children that fn
+    maps to equal keys."""
+    key: list = [e.__class__]
+    for f in e._fields:
+        v = getattr(e, f)
+        if isinstance(v, Expr):
+            key.append(fn(v))
+        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
+            key.append(tuple(map(fn, v)))
+        else:
+            key.append((type(v), v))
+    return tuple(key)
 
 
 def _replace(e: Expr, new: dict) -> Expr:

@@ -160,11 +160,10 @@ class _NodeCache:
         return ent[1]
 
 
-# canonical node per structure, keyed by (the identities of its canonical
-# children, the node).  The node's own equality then compares class and
-# literal fields, and meets its children as identical objects; the ids keep
-# equal children that are distinct objects (roots) apart.  Each key pins its
-# node, and so its children.
+# canonical node per structure, keyed by its class, its literal fields and
+# the identities of its canonical children (X.node_key); the ids keep equal
+# children that are distinct objects (roots) apart.  Each canonical node
+# pins its children, and so the ids in its key.
 _canon: Dict[tuple, X.Expr] = {}
 
 
@@ -176,8 +175,13 @@ def _intern(e: X.Expr) -> X.Expr:
     keep their own warm-start seeds."""
     if isinstance(e, X.RootOf):
         return e
-    node = X.map_children(e, _interned)
-    return _canon.setdefault((tuple(map(id, node.children())), node), node)
+    key = X.node_key(e, lambda c: id(_interned(c)))
+    got = _canon.get(key)
+    if got is None:
+        # built on a miss only: map_children returns e itself when its
+        # children are already canonical
+        got = _canon[key] = X.map_children(e, _interned)
+    return got
 
 
 _interned = _NodeCache(_intern)

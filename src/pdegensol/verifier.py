@@ -682,6 +682,15 @@ def verify_family(
         k = min(XCHECK_POINTS, n_points)
         dev = crosscheck_derivatives(
             fam, scn, jet_data, iset, np.arange(k), cfg)
+        row = {
+            "index": idx,
+            "status": "ok",
+            "max_rel_residual": _jsonable(mx),
+            "sampling_attempts": scn.sampling_attempts,
+            "resampled_points": resampled,
+            "parameters": {k2: float(v) for k2, v in
+                           sorted(scn.parameters.items())},
+        }
         if mx > tol:
             failing = True
             # the jets must agree where the residual failed, too
@@ -691,17 +700,14 @@ def verify_family(
             if not (dev <= xcheck_tol and dev_worst <= xcheck_tol):
                 fail_confirmed = False
             dev = max(dev, dev_worst)
+            row["failing_points"] = [
+                {"index": int(i),
+                 "point": dict(zip(fam.variables, map(float, scn.points[i]))),
+                 "rel_residual": float(rel[i])}
+                for i in np.flatnonzero(rel > tol)]
         worst_dev = max(worst_dev, dev)
-        scen_rows.append({
-            "index": idx,
-            "status": "ok",
-            "max_rel_residual": _jsonable(mx),
-            "xcheck_max_dev": _jsonable(dev),
-            "sampling_attempts": scn.sampling_attempts,
-            "resampled_points": resampled,
-            "parameters": {k2: float(v) for k2, v in
-                           sorted(scn.parameters.items())},
-        })
+        row["xcheck_max_dev"] = _jsonable(dev)
+        scen_rows.append(row)
 
     if indeterminate:
         verdict = "INDETERMINATE"

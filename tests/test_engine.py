@@ -544,3 +544,24 @@ def test_interning_shares_subtrees_and_keeps_roots():
     assert [id(n) for n in X.walk(c) if isinstance(n, X.RootOf)] == \
         [id(n) for n in X.walk(sol) if isinstance(n, X.RootOf)]
     assert len({id(n) for n in X.walk(c)}) < len({id(n) for n in X.walk(sol)})
+
+
+def test_interning_a_known_structure_builds_no_node(monkeypatch):
+    # _intern looks a node up by its class, literal fields and canonical
+    # children before it builds anything: a fresh copy of a tree whose
+    # structure is already in the table, or the canonical tree itself seen
+    # through a fresh node cache, comes back canonical with no construction
+    fam = get_family("4.4")
+    canon = engine._interned(fam.solution)
+    copy = parse(fam.sol_text, Env(variables=fam.variables,
+                                   parameters=fam.parameters,
+                                   functions=fam.functions))
+    assert copy == fam.solution and copy is not fam.solution
+    built = []
+    init = X.Expr._init_caches
+    monkeypatch.setattr(X.Expr, "_init_caches",
+                        lambda self: built.append(self) or init(self))
+    monkeypatch.setattr(engine, "_interned", engine._NodeCache(engine._intern))
+    assert engine._interned(canon) is canon
+    assert engine._interned(copy) is canon
+    assert built == []

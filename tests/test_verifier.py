@@ -173,6 +173,11 @@ def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
     assert any("evaluator suspect" in n for n in r.notes)
     assert r.xcheck_max_dev > r.xcheck_tol
     assert r.scenarios[0]["xcheck_max_dev"] > r.xcheck_tol
+    # the row names the point that failed, where and by how much
+    (fp,) = r.scenarios[0]["failing_points"]
+    assert fp["index"] == 3 and fp["rel_residual"] == 0.5
+    assert list(fp["point"]) == list(get_family("3.1").variables)
+    assert all(0.0 < v < 2.0 for v in fp["point"].values())
 
 
 def test_tolerance_floor_guards_fail_verdict():
