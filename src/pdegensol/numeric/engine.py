@@ -396,7 +396,8 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
                 for nm in names}
         # nodes() writes row 0; at K=1 that is the whole jet
-        dummy = (np.empty if iset.K == 1 else np.zeros)((iset.K, 15 * own.size))
+        alloc = np.empty if iset.K == 1 else np.zeros
+        dummy = alloc((iset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
         ienv[e.dummy] = JetBatch(iset, dummy)
         return _ev(e.integrand, ienv, c, dummy.shape[1], {})

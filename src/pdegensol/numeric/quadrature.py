@@ -209,6 +209,8 @@ def adaptive_gk_batched(
         bad = ~np.isfinite(I15).all(axis=0)
         if bad.any():
             bad[bad] = ~np.isfinite(vals[:, bad]).all(axis=(0, 2))
+        # the round's largest array: free it before the next round's
+        # integrand call allocates its own
         del vals
         # total is all zeros in round 0, and 0 + |I15| is |I15|
         ref = np.abs(I15)
