@@ -297,9 +297,9 @@ class IndexSet:
 
 def _value_row(v, shape) -> np.ndarray:
     """The (1, n) jet of a value-only result: v itself as its one row when
-    v is a fresh, writeable array of the full width (a ufunc result the
-    caller hands over), else a copy, so the jet never shares memory with
-    another array."""
+    v owns its memory, is writeable and has the full width (a ufunc result
+    made for this call), else a copy of v, so the jet never shares memory
+    with an input."""
     if (isinstance(v, np.ndarray) and v.base is None and v.flags.writeable
             and v.shape == shape and v.dtype == np.float64):
         return v.reshape((1,) + shape)
