@@ -72,9 +72,10 @@ GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
 # panels per block of the Gauss gather: a block's 15-node rows stay in cache
-# while its 7 Gauss columns are written out.  At 1.8e6 panels, K=1, blocks
-# of 512 to 8 K panels took 59-62 ms, one whole-array copy 143 ms and the
-# fancy gather 133 ms; about 27 ms of each is first-touching the buffer
+# while its 7 Gauss columns are written out.  At 1.8e6 panels, K=1 (one
+# core of a 2-core x86 host, numpy 2.4), blocks of 512 to 8 K panels took
+# 59-62 ms, one whole-array copy 143 ms and the fancy gather 133 ms; about
+# 27 ms of each is first-touching the buffer
 GATHER_ROWS = 2048
 
 
