@@ -1,14 +1,20 @@
 """Golden bits: the float64 patterns `pdegensol sample` prints for 4.4 and
-3.8 on a 3x3 grid at seed 1.
+3.8 on a 3x3 grid at seed 1 and for 3.8 on its default 5x5 grid at seed 7,
+and the digest of one `pdegensol verify --json` report.
 
 These pin the last bit of the deepest nest (4.4, five integrals) and of a
 root-bearing family (3.8) through the whole CLI path, so a change meant to
 be bit-identical (a faster gather, a copy saved) is caught here if it moves
-anything.  Re-record them only in a change that moves numerics on purpose
-(ROADMAP item 3 onward), and say so in CHANGES.md."""
+anything.  3.8 at seed 7 runs into the quadrature's per-column panel cap
+while it solves its roots; the verify report covers root solving with
+derivative jets, the degenerate-root test, the evaluation guards and
+variable-limit integrals.  All of them run the engine's limits at their
+real values.  Re-record them only in a change that moves numerics on
+purpose (ROADMAP item 3 onward), and say so in CHANGES.md."""
 
 import contextlib
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -29,15 +35,52 @@ GOLDEN = {
     ],
 }
 
+# `sample 3.8 --seed 7`: the default grid, 5 points per axis over the
+# sample box
+GOLDEN_PANEL_CAP = [
+    "3ff2ea061d281198", "3ffeeb83242e6296", "400a8860e60af594",
+    "40176b9d010ae70d", "4024f720fa2b2ba3", "3fec5d000cbb75ed",
+    "3fef9505eb0fff59", "3ff1f732800fab6b", "3ff4e84166bf1a94",
+    "3ff8e3199cc6e518", "3fe84bfca468470c", "3fe56ffc737ecda7",
+    "3fe2083e4edc5a8b", "3fdc0087d4dd69da", "3fd282099e131f62",
+    "3fe600edefe6fb84", "3fe04423417fb03d", "3fd48120f2639a93",
+    "3fbfbf3a13fc4d15", "bfb49e4bc86a334b", "3fe4abc2296c5644",
+    "3fda8317ab8c4412", "3fc8c1730fd08963", "bf90fcd33307ebdd",
+    "bfcb9eb75e46d7f4",
+]
+
+VERIFY_ARGV = ["verify", "3.10", "5.2", "--scenarios", "1", "--points", "4",
+               "--seed", "1", "--json"]
+VERIFY_SHA256 = \
+    "d6761ec6e944a8eff581fb5385f7e55f4a4df56e78636785a392af550f547c89"
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    assert rc == 0
+    return buf.getvalue()
+
+
+def _sample_bits(argv):
+    # line 0 is the scenario comment, line 1 the header; %.17g round-trips
+    rows = list(csv.reader(_stdout(argv).splitlines()[2:]))
+    w = np.array([float(r[-1]) for r in rows])
+    return [f"{b:016x}" for b in w.view(np.uint64)]
+
 
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_sample_bits(family):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(["sample", family, "--grid", "t=0.2:1.2:3",
-                   "--grid", "x=0.2:1.2:3", "--seed", "1"])
-    assert rc == 0
-    # line 0 is the scenario comment, line 1 the header; %.17g round-trips
-    rows = list(csv.reader(buf.getvalue().splitlines()[2:]))
-    w = np.array([float(r[-1]) for r in rows])
-    assert [f"{b:016x}" for b in w.view(np.uint64)] == GOLDEN[family]
+    assert _sample_bits(["sample", family, "--grid", "t=0.2:1.2:3",
+                         "--grid", "x=0.2:1.2:3", "--seed", "1"]) \
+        == GOLDEN[family]
+
+
+def test_sample_bits_at_panel_cap():
+    assert _sample_bits(["sample", "3.8", "--seed", "7"]) == GOLDEN_PANEL_CAP
+
+
+def test_verify_report_digest():
+    text = _stdout(VERIFY_ARGV)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
