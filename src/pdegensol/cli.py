@@ -26,7 +26,7 @@ import numpy as np
 from .catalog import family_ids, get_family
 from .expr_core import to_text
 from .numeric import EvalError, NumericConfig
-from .verifier import (HINTS, SamplingHints, _famkey, draw_scenario,
+from .verifier import (SAMPLE_BOX, _scenario_rng, draw_scenario,
                        solution_values, verify_catalog)
 
 
@@ -206,9 +206,8 @@ def _parse_grid(pairs, fam):
         if cnt < 1:
             raise ValueError("grid count must be >= 1")
         ranges[name] = np.linspace(lo, hi, cnt)
-    hints = HINTS.get(fam.family_id, SamplingHints())
     for v in fam.variables:
-        ranges.setdefault(v, np.linspace(hints.box[0], hints.box[1], 5))
+        ranges.setdefault(v, np.linspace(*SAMPLE_BOX, 5))
     return [ranges[v] for v in fam.variables]
 
 
@@ -228,9 +227,8 @@ def _cmd_sample(args) -> int:
     fam = get_family(args.id)
     axes = _parse_grid(args.grid, fam)
     cfg = NumericConfig()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([args.seed, _famkey(fam.family_id)]))
-    scn = draw_scenario(fam, rng, 0, 8, cfg)
+    scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 0, 8,
+                        cfg)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -37,7 +37,11 @@ them leave every output bit as it was:
   move output bits.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN
-and the cause is recorded on the context."""
+and the cause is recorded on the context.  Module constants hold the
+engine's own limits: the poison guards DEN_GUARD, POS_GUARD and TAN_GUARD
+(scaled by a context's guard_scale), DEGENERATE_TOL for solved roots, and
+NEST_LIMIT, which caps quadrature nesting with an error rather than a
+poisoned column."""
 
 from __future__ import annotations
 
@@ -51,6 +55,16 @@ from .errors import EvalError, NestLimitExceeded
 from .jets import IndexSet, JetBatch, jb_cos, jb_div, jb_exp, jb_ln, jb_mul, jb_powc, jb_powi, jb_sin, jb_sqrt, jb_sub, jb_tan
 from .quadrature import Panels, adaptive_gk_batched
 from . import rootfind
+
+# structural cap on quadrature nesting; the deepest catalog entry needs 5
+NEST_LIMIT = 6
+# a solved root where |d body/dz| is below this gets no derivative jet
+DEGENERATE_TOL = 1e-10
+# poison guards of division and integer powers, of ln, sqrt and real
+# powers, and of tan
+DEN_GUARD = 1e-13
+POS_GUARD = 1e-13
+TAN_GUARD = 1e-8
 
 # nodes per slice of a leaf-integrand callback, rounded down to whole
 # 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
@@ -79,6 +93,9 @@ class EvalContext:
         self.scenario = scenario
         self.cfg = cfg or NumericConfig()
         self.guard_scale = guard_scale
+        self.den_guard = DEN_GUARD * guard_scale
+        self.pos_guard = POS_GUARD * guard_scale
+        self.tan_guard = TAN_GUARD * guard_scale
         self.depth = 0
         if _shared is None:
             _shared = {"causes": [], "root_cache": {}, "hoisted": {}}
@@ -86,18 +103,6 @@ class EvalContext:
         self.causes: List[Tuple[str, str]] = _shared["causes"]
         self.root_cache: Dict[int, tuple] = _shared["root_cache"]
         self.hoisted: Dict[tuple, tuple] = _shared["hoisted"]
-
-    @property
-    def den_guard(self):
-        return self.cfg.den_guard * self.guard_scale
-
-    @property
-    def pos_guard(self):
-        return self.cfg.pos_guard * self.guard_scale
-
-    @property
-    def tan_guard(self):
-        return self.cfg.tan_guard * self.guard_scale
 
     def value_context(self) -> "EvalContext":
         sub = EvalContext(self.iset.value_only(), self.scenario, self.cfg, self.guard_scale, self._shared)
@@ -380,10 +385,8 @@ def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetB
 
 
 def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
-    if ctx.depth + 1 > ctx.cfg.nest_limit:
-        raise NestLimitExceeded(
-            f"quadrature nesting deeper than {ctx.cfg.nest_limit}"
-        )
+    if ctx.depth + 1 > NEST_LIMIT:
+        raise NestLimitExceeded(f"quadrature nesting deeper than {NEST_LIMIT}")
     iset = ctx.iset
     lo_jb = _widen(_ev(e.lower, env, ctx, n, memo), n)
     up_jb = _widen(_ev(e.upper, env, ctx, n, memo), n)
@@ -444,18 +447,17 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
     viset = vctx.iset
     venv = {nm: jb.value_rows() for nm, jb in env.items() if nm in body._free}
 
-    def fval(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        en = {nm: jb.gather(cols) for nm, jb in venv.items()}
-        en[e.dummy] = JetBatch.constants(viset, zs)
-        return _widen(_ev(body, en, vctx, zs.size, {}), zs.size).data[0]
-
-    def fprime(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        en = {nm: jb.gather(cols) for nm, jb in venv.items()}
-        en[e.dummy] = JetBatch.constants(viset, zs)
-        return _widen(_ev(body_z, en, vctx, zs.size, {}), zs.size).data[0]
+    def values_of(tree: X.Expr):
+        # tree's value at (zs, cols): the root body or its z-derivative
+        def f(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            en = {nm: jb.gather(cols) for nm, jb in venv.items()}
+            en[e.dummy] = JetBatch.constants(viset, zs)
+            return _widen(_ev(tree, en, vctx, zs.size, {}), zs.size).data[0]
+        return f
 
     seeds = _root_seeds(e, ctx, n)
-    roots, status = rootfind.bracket_bisect_newton(fval, fprime, seeds, ctx.cfg)
+    roots, status = rootfind.bracket_bisect_newton(
+        values_of(body), values_of(body_z), seeds, ctx.cfg)
     fail = status != rootfind.OK
     if fail.any():
         ctx.record("root", fail, e)
@@ -474,12 +476,13 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
         en[e.dummy] = z
         F = _widen(_ev(body, en, ctx, n, {}), n)
         Fz = _widen(_ev(body_z, en, ctx, n, {}), n)
-        degen = np.isfinite(Fz.data[0]) & (np.abs(Fz.data[0]) < ctx.cfg.degenerate_tol)
+        degen = np.isfinite(Fz.data[0]) & (np.abs(Fz.data[0]) < DEGENERATE_TOL)
         if degen.any():
             ctx.record("degenerate", degen, e)
             Fz = JetBatch(iset, Fz.data.copy())
             Fz.data[:, degen] = np.nan
-        q, bad = jb_div(F, Fz, ctx.cfg.den_guard)
+        # the unscaled guard, whatever the context's guard_scale
+        q, bad = jb_div(F, Fz, DEN_GUARD)
         z = jb_sub(z, q)
     return z
 

@@ -20,7 +20,9 @@ adaptive_gk_batched).
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
-independent high-order reference."""
+independent high-order reference.  A column still refining after MAX_DEPTH
+rounds, or past the panel budget MAX_PANELS_PER_COL or the call's
+MAX_PANELS_TOTAL, is nonconvergent."""
 
 from __future__ import annotations
 
@@ -70,6 +72,12 @@ NODES = np.concatenate([-_XGK[:7], _XGK[7:8], _XGK[6::-1]])
 WEIGHTS = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 GAUSS_W = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
+
+MAX_DEPTH = 30
+# panel budgets: a divergent integrand (integration path crossing a pole)
+# would otherwise double its worklist every refinement round
+MAX_PANELS_PER_COL = 500
+MAX_PANELS_TOTAL = 500_000
 
 # panels per block of the Gauss gather: a block's 15-node rows stay in cache
 # while its 7 Gauss columns are written out.  At 1.8e6 panels, K=1 (one
@@ -174,12 +182,12 @@ def adaptive_gk_batched(
     panels_total = 0
     depth = 0
     while cols.size:
-        if depth > cfg.quad_max_depth or panels_total > cfg.quad_max_panels_total:
+        if depth > MAX_DEPTH or panels_total > MAX_PANELS_TOTAL:
             noconv[cols] = True
             break
         np.add.at(per_col, cols, 1)
         panels_total += cols.size
-        over = per_col[cols] > cfg.quad_max_panels_per_col
+        over = per_col[cols] > MAX_PANELS_PER_COL
         if over.any():
             noconv[cols[over]] = True
             cols, ia, ib = cols[~over], ia[~over], ib[~over]

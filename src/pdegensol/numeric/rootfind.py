@@ -4,7 +4,9 @@ Strategy per element: expand a bracket geometrically around the seed until
 the function changes sign (NaN probes block that direction: the domain edge
 acts as a wall), bisect the bracket down to width ~1e-14, then polish with
 a few Newton steps using the supplied derivative.  Everything runs on whole
-arrays; elements drop out as they converge.
+arrays; elements drop out as they converge.  The first step is
+_EXPAND_STEP0 * max(1, |seed|), each next one _EXPAND_GROWTH times longer,
+and the search gives up past _EXPAND_SPAN * max(1, |seed|).
 
 Status codes: 0 ok, 1 bad seed (NaN at seed), 2 no bracket found,
 3 residual tolerance not met."""
@@ -21,6 +23,7 @@ OK, BAD_SEED, NO_BRACKET, NO_CONVERGE = 0, 1, 2, 3
 
 _EXPAND_STEP0 = 0.05
 _EXPAND_GROWTH = 1.7
+_EXPAND_SPAN = 8.0
 
 
 def bracket_bisect_newton(
@@ -60,7 +63,7 @@ def bracket_bisect_newton(
 
     step = _EXPAND_STEP0 * np.maximum(1.0, np.abs(seeds))
     while True:
-        active = need & ~have & ~(blocked_lo & blocked_hi) & (step <= cfg.root_span * np.maximum(1.0, np.abs(seeds)))
+        active = need & ~have & ~(blocked_lo & blocked_hi) & (step <= _EXPAND_SPAN * np.maximum(1.0, np.abs(seeds)))
         if not active.any():
             break
         for side in ("lo", "hi"):

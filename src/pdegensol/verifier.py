@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +50,8 @@ MAX_RESAMPLE_ROUNDS = 8
 # evaluation guards are widened by this factor during the pre-scan, so
 # accepted scenarios sit comfortably inside the admissible region
 PRESCAN_GUARD = 10.0
+# sample points and the default sample grid lie in this interval per axis
+SAMPLE_BOX = (0.2, 1.2)
 # points per scenario the finite-difference cross-check visits: the first
 # ones, and in a failing scenario also its worst-residual ones
 XCHECK_POINTS = 2
@@ -95,12 +97,11 @@ class FuncSpec:
 class SamplingHints:
     """Per-family sampling ranges and admissibility predicate.  Ranges are
     centered on values known to keep every integrand real and every root
-    bracketed over the sample box."""
+    bracketed over SAMPLE_BOX."""
 
     params: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     funcs: Dict[str, FuncSpec] = field(default_factory=dict)
     admissible: Optional[Callable[[Dict[str, float]], bool]] = None
-    box: Tuple[float, float] = (0.2, 1.2)
 
 
 DEFAULT_PARAM_RANGE = (0.3, 0.9)
@@ -308,13 +309,11 @@ def draw_scenario(
     index: int,
     n_points: int,
     cfg: NumericConfig,
-    hints: Optional[SamplingHints] = None,
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
 ) -> Scenario:
     """Draw until the pre-scan accepts, or raise SamplingExhausted."""
-    h = hints if hints is not None else HINTS.get(fam.family_id,
-                                                  SamplingHints())
+    h = HINTS.get(fam.family_id, SamplingHints())
     for attempt in range(1, MAX_DRAW_ATTEMPTS + 1):
         params = {
             p: float(rng.uniform(*h.params.get(p, DEFAULT_PARAM_RANGE)))
@@ -331,8 +330,7 @@ def draw_scenario(
                 name, DEFAULT_FUNC if arity == 1 else DEFAULT_FUNC_WIDE)
             funcs[name] = draw_function(rng, name, arity, spec)
         bases = {b: base_shift for b in fam.base_names}
-        pts = rng.uniform(h.box[0], h.box[1],
-                          size=(n_points, len(fam.variables)))
+        pts = rng.uniform(*SAMPLE_BOX, size=(n_points, len(fam.variables)))
         scn = Scenario(index, fam.variables, params, funcs, bases, pts,
                        sampling_attempts=attempt)
         if _prescan_ok(fam, scn, cfg):
@@ -398,12 +396,12 @@ def scenario_residuals(
     fam: PdeFamily,
     scn: Scenario,
     cfg: NumericConfig,
-    rng: Optional[np.random.Generator] = None,
-    box: Tuple[float, float] = (0.2, 1.2),
+    rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, IndexSet, int]:
     """Residuals at the scenario's points, replacing points that poison
-    (dropping one column, not the scenario).  Returns (rel, jet_rows,
-    index_set, n_resampled); scn.points holds the final points."""
+    with new draws from rng (dropping one column, not the scenario).
+    Returns (rel, jet_rows, index_set, n_resampled); scn.points holds the
+    final points."""
     n = len(scn.points)
     rel = np.full(n, np.nan)
     data = None
@@ -425,12 +423,10 @@ def scenario_residuals(
         rel[todo] = rel_t
         data[:, todo] = data_t
         bad = todo[~np.isfinite(rel_t)]
-        if bad.size == 0 or rng is None:
-            break
-        if round_no == MAX_RESAMPLE_ROUNDS:
+        if bad.size == 0 or round_no == MAX_RESAMPLE_ROUNDS:
             break
         scn.points[bad] = rng.uniform(
-            box[0], box[1], size=(bad.size, len(fam.variables)))
+            *SAMPLE_BOX, size=(bad.size, len(fam.variables)))
         resampled += int(bad.size)
         todo = bad
     return rel, data, iset, resampled
@@ -484,7 +480,7 @@ def crosscheck_derivatives(
     central differences of raw solution values at the selected points.
     Deviation is scaled by max(1, |jet value|)."""
     # tighten quadrature so the difference quotients see a quiet function
-    tight = cfg.with_(quad_rel_tol=1e-12, quad_abs_tol=1e-14)
+    tight = replace(cfg, quad_rel_tol=1e-12, quad_abs_tol=1e-14)
     alphas = sorted({mi for mi in fam.deriv_orders.values() if sum(mi) > 0})
     pts = scn.points[point_idx]
     npts = len(pts)
@@ -613,8 +609,9 @@ def _famkey(family_id: str) -> int:
     return int.from_bytes(family_id.encode(), "big")
 
 
-def _scenario_rng(seed: int, family_id: str, index: int):
-    ss = np.random.SeedSequence([seed, _famkey(family_id), index])
+def _scenario_rng(seed: int, family_id: str, *index: int):
+    """A scenario's generator: verify passes its index, sample none."""
+    ss = np.random.SeedSequence([seed, _famkey(family_id), *index])
     return np.random.default_rng(ss)
 
 
@@ -636,11 +633,13 @@ def verify_family(
     agrees with the jet derivatives in the failing scenario, at its first
     and at its worst-residual points, and the tolerance sits well above the
     numeric floor; anything murkier is INDETERMINATE."""
+    for what, count in (("scenario", n_scenarios), ("point", n_points)):
+        if count < 1:
+            raise ValueError(f"{what} count must be at least 1, got {count}")
     fam = family if isinstance(family, PdeFamily) else get_family(family)
     cfg = cfg or NumericConfig()
     tol = tol_rel if tol_rel is not None else FAMILY_TOL.get(
         fam.family_id, DEFAULT_TOL_REL)
-    h = HINTS.get(fam.family_id, SamplingHints())
     floor = 100.0 * cfg.quad_rel_tol
     can_fail = tol >= 10.0 * floor
 
@@ -657,15 +656,14 @@ def verify_family(
     for idx in range(n_scenarios):
         rng = _scenario_rng(seed, fam.family_id, idx)
         try:
-            scn = draw_scenario(fam, rng, idx, n_points, cfg, h,
-                                base_shift, param_overrides)
+            scn = draw_scenario(fam, rng, idx, n_points, cfg, base_shift,
+                                param_overrides)
         except SamplingExhausted as exc:
             indeterminate = True
             notes.append(str(exc))
             scen_rows.append({"index": idx, "status": "sampling_exhausted"})
             continue
-        rel, jet_data, iset, resampled = scenario_residuals(
-            fam, scn, cfg, rng, h.box)
+        rel, jet_data, iset, resampled = scenario_residuals(fam, scn, cfg, rng)
         resampled_total += resampled
         ok = np.isfinite(rel)
         if not ok.all():
@@ -770,7 +768,7 @@ def _probe_alternate_branch(fam, cfg, seed, n_points, base_shift,
     alt = _negate_seeds(fam.solution)
     rng = _scenario_rng(seed, fam.family_id, 0)
     try:
-        scn = draw_scenario(fam, rng, 0, n_points, cfg, None, base_shift,
+        scn = draw_scenario(fam, rng, 0, n_points, cfg, base_shift,
                             param_overrides)
     except SamplingExhausted:
         return {"branch": "negated_seed", "status": "sampling_exhausted"}

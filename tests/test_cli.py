@@ -55,6 +55,16 @@ def test_verify_bad_override_exit_4(capsys):
     assert main(["verify", "3.1", "--set", "nonsense"]) == 4
 
 
+@pytest.mark.parametrize("flag,count", [("--scenarios", "scenario count"),
+                                        ("--points", "point count")])
+def test_verify_zero_count_exit_4(capsys, flag, count):
+    # no scenario or no point is no evidence: an error, not a PASS
+    assert main(["verify", "3.1", flag, "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {count} must be at least 1, got 0\n"
+
+
 def test_verify_all_token_and_json_file(tmp_path, monkeypatch):
     import pdegensol.verifier as verifier
     from pdegensol.catalog import family_ids
@@ -124,11 +134,9 @@ def test_sample_bad_grid_exit_4(capsys):
 def test_eval_error_exit_4(capsys, monkeypatch):
     # an EvalError (here the nesting limit, below 4.4's depth of 5) is an
     # error message and exit code 4, not a traceback
-    import pdegensol.cli as cli
-    from pdegensol.numeric import NumericConfig
+    from pdegensol.numeric import engine
 
-    monkeypatch.setattr(cli, "NumericConfig",
-                        lambda: NumericConfig().with_(nest_limit=3))
+    monkeypatch.setattr(engine, "NEST_LIMIT", 3)
     assert main(["sample", "4.4", "--grid", "t=0.4:0.6:2",
                  "--grid", "x=0.4:0.6:2"]) == 4
     err = capsys.readouterr().err

@@ -49,7 +49,7 @@ class _Col:
         return float(self.data[self.iset.pos[mi]])
 
 
-def _jet(text, point, scn, orders, cfg=None):
+def _jet(text, point, scn, orders):
     env = Env(variables=tuple(scn.variables),
               parameters=tuple(scn.parameters),
               functions={k: v.arity for k, v in scn.functions.items()})
@@ -57,7 +57,7 @@ def _jet(text, point, scn, orders, cfg=None):
     iset = IndexSet(scn.variables, orders)
     jenv = {v: JetBatch.variable(iset, v, np.array([point[v]]))
             for v in scn.variables}
-    ctx = EvalContext(iset, scn, cfg or CFG)
+    ctx = EvalContext(iset, scn, CFG)
     return _Col(eval_batch(e, jenv, ctx, 1), ctx)
 
 
@@ -228,16 +228,16 @@ def test_degenerate_root_poisons_its_column(scn_x):
     assert jb.data[1, 1] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
-def test_nest_limit_raises(scn_x):
+def test_nest_limit_raises(scn_x, monkeypatch):
     # nesting through the integrand (quadrature inside quadrature), the
     # thing the structural limit is for; chained upper limits do not count
     deep = "1"
     for i in range(6, -1, -1):
         up = "x" if i == 0 else f"d{i - 1}"
         deep = f"int(d{i}, base(p0), {up}, {deep})"
-    tight = CFG.with_(nest_limit=3)
+    monkeypatch.setattr(engine, "NEST_LIMIT", 3)
     with pytest.raises(NestLimitExceeded):
-        _jet(deep, {"x": 0.5}, scn_x, [(0,)], cfg=tight)
+        _jet(deep, {"x": 0.5}, scn_x, [(0,)])
 
 
 def test_batch_poison_is_per_column(scn_x):
@@ -371,7 +371,7 @@ def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k):
     # denominator and the fully constant Div record one domain cause over
     # all 15 nodes of each of the five columns (the K=4 boundary terms add
     # more causes at the upper limit)
-    scn_tx.parameters["a"] = 0.25 * CFG.den_guard
+    scn_tx.parameters["a"] = 0.25 * engine.DEN_GUARD
     e = parse("int(xi, base(p0), x, xi/a + 1/a + t)",
               Env(variables=("t", "x"), parameters=("a",)))
     iset = _isets(("t", "x"))[k]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdegensol.numeric import NumericConfig
+from pdegensol.numeric import NumericConfig, quadrature
 from pdegensol.numeric.quadrature import (GATHER_ROWS, GAUSS_IDX, GAUSS_W,
                                           NODES, WEIGHTS, Panels,
                                           adaptive_gk_batched, gauss_rows)
@@ -70,12 +70,13 @@ def test_gk_constants_self_consistent():
     assert kron == pytest.approx(2.0 / 23.0, rel=1e-11)
 
 
-def test_divergent_integrand_reports_nonconvergence():
+def test_divergent_integrand_reports_nonconvergence(monkeypatch):
     # pole inside the interval, just off every node: the panel budget must
     # cut the exponential worklist growth and refuse, not hang
-    small = CFG.with_(quad_max_panels_per_col=200, quad_max_panels_total=2000)
+    monkeypatch.setattr(quadrature, "MAX_PANELS_PER_COL", 200)
+    monkeypatch.setattr(quadrature, "MAX_PANELS_TOTAL", 2000)
     calls = []
-    got = quad(lambda x: 1.0 / (x - 0.5000000001), 0.0, 1.0, small,
+    got = quad(lambda x: 1.0 / (x - 0.5000000001), 0.0, 1.0, CFG,
                calls.append)
     assert math.isnan(got)
     assert len(calls) == 1 and calls[0].tolist() == [True]
@@ -134,8 +135,8 @@ _POISON = {
 
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("case", sorted(_POISON))
-def test_driver_nonfinite_samples(K, case):
-    cfg = CFG.with_(quad_max_panels_per_col=64)
+def test_driver_nonfinite_samples(K, case, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS_PER_COL", 64)
     lo, hi = np.zeros(3), np.full(3, 2.0)
     calls = []
 
@@ -151,7 +152,7 @@ def test_driver_nonfinite_samples(K, case):
         return out
 
     with np.errstate(over="ignore"):
-        data = adaptive_gk_batched(evalfn, lo, hi, K, cfg, calls.append)
+        data = adaptive_gk_batched(evalfn, lo, hi, K, CFG, calls.append)
     assert data.shape == (K, 3)
     assert np.isnan(data[:, 1]).all()
     assert np.isfinite(data[:, [0, 2]]).all()

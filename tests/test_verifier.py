@@ -13,6 +13,7 @@ import pytest
 import pdegensol.verifier as verifier
 from pdegensol.catalog import _build_family, _parse_records, get_family
 from pdegensol.numeric import NestLimitExceeded, NumericConfig, SamplingExhausted
+from pdegensol.numeric import engine
 from pdegensol.verifier import (
     FAMILY_TOL,
     HINTS,
@@ -55,20 +56,21 @@ def test_draw_scenario_respects_hints():
     assert set(scn.base_points) == set(fam.base_names)
 
 
-def test_draw_scenario_exhaustion():
+def test_draw_scenario_exhaustion(monkeypatch):
     fam = get_family("3.1")
     rng = np.random.default_rng(0)
     impossible = SamplingHints(admissible=lambda p: False)
+    monkeypatch.setitem(HINTS, "3.1", impossible)
     with pytest.raises(SamplingExhausted):
-        draw_scenario(fam, rng, 0, 4, CFG, hints=impossible)
+        draw_scenario(fam, rng, 0, 4, CFG)
 
 
-def test_prescan_lets_eval_errors_through():
+def test_prescan_lets_eval_errors_through(monkeypatch):
     # a nesting limit below 4.4's depth is no property of the scenario, so
     # the pre-scan does not redraw: the error reaches the caller
-    cfg = NumericConfig().with_(nest_limit=3)
+    monkeypatch.setattr(engine, "NEST_LIMIT", 3)
     with pytest.raises(NestLimitExceeded):
-        verify_family("4.4", cfg=cfg, n_scenarios=1, n_points=2)
+        verify_family("4.4", n_scenarios=1, n_points=2)
 
 
 def test_scenario_residuals_resamples_bad_points():
