@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--points", type=int, default=20)
     vp.add_argument("--tol", type=float, default=None,
                     help="override the per-family residual tolerance")
-    vp.add_argument("--xcheck-tol", type=float, default=1e-4)
     vp.add_argument("--base-shift", type=float, default=0.0,
                     help="shift every integral base point by this amount")
     vp.add_argument("--set", dest="overrides", action="append", default=[],
@@ -146,7 +145,6 @@ def _cmd_verify(args) -> int:
         n_scenarios=args.scenarios,
         n_points=args.points,
         seed=args.seed,
-        xcheck_tol=args.xcheck_tol,
         base_shift=args.base_shift,
         param_overrides=overrides,
         probe_branches=args.probe_branches,

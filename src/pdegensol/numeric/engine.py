@@ -36,16 +36,19 @@ them leave every output bit as it was:
   both depend on how many columns share a call, so slicing them would
   move output bits.
 
-Failures do not raise mid-batch: offending columns are poisoned with NaN
-and the cause is recorded on the context.  Module constants hold the
-engine's own limits: the poison guards DEN_GUARD, POS_GUARD and TAN_GUARD
-(scaled by a context's guard_scale), DEGENERATE_TOL for solved roots, and
-NEST_LIMIT, which caps quadrature nesting with an error rather than a
-poisoned column."""
+Failures do not raise mid-batch: offending columns are poisoned with NaN,
+and the context counts them per (kind, node) in one tally that every
+sub-context of the evaluation adds to, so a sliced integrand counts what
+one whole-batch call would.  Module constants hold the engine's own
+limits: the poison guards DEN_GUARD, POS_GUARD and TAN_GUARD (scaled by a
+context's guard_scale), DEGENERATE_TOL for solved roots, and NEST_LIMIT,
+which caps quadrature nesting with an error rather than a poisoned
+column."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -73,13 +76,16 @@ _LEAF_SLICE = 32768
 
 class EvalContext:
     """Evaluation state: index set, scenario bindings, config, guard scale,
-    nesting depth, shared cause recorder, root-seed cache and the cache of
-    width-1 scenario constants.  hoist is on in the contexts of quadrature
-    and root callbacks, which evaluate the same tree many times, and off at
-    the top level and inside a constant being hoisted, which evaluate it
-    once."""
+    nesting depth, and the state that every sub-context of one evaluation
+    shares: the cause tally, the root-seed cache and the cache of width-1
+    scenario constants.  causes counts poisoned columns per (kind, node),
+    summed over every call that recorded them.  hoist is on in the
+    contexts of quadrature and root callbacks, which evaluate the same tree
+    many times, and off at the top level and inside a constant being
+    hoisted, which evaluate it once."""
 
     hoist = False
+    depth = 0
 
     def __init__(
         self,
@@ -87,7 +93,6 @@ class EvalContext:
         scenario,
         cfg: Optional[NumericConfig] = None,
         guard_scale: float = 1.0,
-        _shared=None,
     ):
         self.iset = iset
         self.scenario = scenario
@@ -96,58 +101,34 @@ class EvalContext:
         self.den_guard = DEN_GUARD * guard_scale
         self.pos_guard = POS_GUARD * guard_scale
         self.tan_guard = TAN_GUARD * guard_scale
-        self.depth = 0
-        if _shared is None:
-            _shared = {"causes": [], "root_cache": {}, "hoisted": {}}
-        self._shared = _shared
-        self.causes: List[Tuple[str, str]] = _shared["causes"]
-        self.root_cache: Dict[int, tuple] = _shared["root_cache"]
-        self.hoisted: Dict[tuple, tuple] = _shared["hoisted"]
+        self.causes: Counter = Counter()
+        self.root_cache: Dict[int, tuple] = {}
+        self.hoisted: Dict[tuple, tuple] = {}
+
+    def _sub(self, iset: IndexSet, depth: int) -> "EvalContext":
+        # a shallow copy, so the sub-context shares the tally and both
+        # caches; copy.copy does the same at four times the cost
+        sub = object.__new__(EvalContext)
+        vars(sub).update(vars(self))
+        sub.iset, sub.depth, sub.hoist = iset, depth, True
+        return sub
 
     def value_context(self) -> "EvalContext":
-        sub = EvalContext(self.iset.value_only(), self.scenario, self.cfg, self.guard_scale, self._shared)
-        sub.depth = self.depth
-        sub.hoist = True
-        return sub
+        return self._sub(self.iset.value_only(), self.depth)
 
     def child(self) -> "EvalContext":
-        sub = EvalContext(self.iset, self.scenario, self.cfg, self.guard_scale, self._shared)
-        sub.depth = self.depth + 1
-        sub.hoist = True
-        return sub
+        return self._sub(self.iset, self.depth + 1)
 
     def record(self, kind: str, mask, node, width: int = 0) -> None:
-        """Note a cause for the masked columns of node.  A mask narrower than
-        width comes from width-1 operands and stands for all width columns."""
+        """Count the masked columns of node as poisoned by kind.  A mask
+        narrower than width comes from width-1 operands and stands for all
+        width columns."""
         n = 0
         if mask is not None:
             n = int(np.count_nonzero(mask))
             if mask.size < width:
                 n *= width
-        self._note(kind, node, n)
-
-    def _note(self, kind: str, node, n: int) -> None:
-        if len(self.causes) < 64:
-            self.causes.append((kind, f"{X.to_text(node)[:80]} ({n} column(s))"))
-
-
-class _SliceTally(EvalContext):
-    """Context for one leaf integrand evaluated in slices.  It sums each
-    (kind, node) cause over the slices; flush() then notes each once, as
-    one evaluation of the whole batch would."""
-
-    def __init__(self, ctx: EvalContext):
-        super().__init__(ctx.iset, ctx.scenario, ctx.cfg, ctx.guard_scale, ctx._shared)
-        self.depth = ctx.depth
-        self.hoist = ctx.hoist
-        self.tally: Dict[tuple, list] = {}
-
-    def _note(self, kind: str, node, n: int) -> None:
-        self.tally.setdefault((kind, id(node)), [kind, node, 0])[2] += n
-
-    def flush(self) -> None:
-        for kind, node, n in self.tally.values():
-            EvalContext._note(self, kind, node, n)
+        self.causes[kind, node] += n
 
 
 class _NodeCache:
@@ -394,7 +375,7 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     names = [nm for nm in env if nm in e.integrand._free]
     leaf = _is_leaf(e.integrand)
 
-    def at_nodes(panels: Panels, lo: int, hi: int, c: EvalContext) -> JetBatch:
+    def at_nodes(panels: Panels, lo: int, hi: int) -> JetBatch:
         own = panels.cols[lo:hi]
         ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
                 for nm in names}
@@ -403,19 +384,17 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         dummy = alloc((iset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
         ienv[e.dummy] = JetBatch(iset, dummy)
-        return _ev(e.integrand, ienv, c, dummy.shape[1], {})
+        return _ev(e.integrand, ienv, subctx, dummy.shape[1], {})
 
     def integrand_eval(panels: Panels, cols: np.ndarray) -> np.ndarray:
         m, npan = panels.size, cols.size
         step = max(1, _LEAF_SLICE // 15)
         if not leaf or npan <= step:
-            return _widen(at_nodes(panels, 0, npan, subctx), m).data
+            return _widen(at_nodes(panels, 0, npan), m).data
         out = np.empty((iset.K, m))
-        tally = _SliceTally(subctx)
         for lo in range(0, npan, step):
             hi = min(lo + step, npan)
-            out[:, 15 * lo:15 * hi] = at_nodes(panels, lo, hi, tally).data
-        tally.flush()
+            out[:, 15 * lo:15 * hi] = at_nodes(panels, lo, hi).data
         return out
 
     def on_noconv(mask):
@@ -481,8 +460,7 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
             ctx.record("degenerate", degen, e)
             Fz = JetBatch(iset, Fz.data.copy())
             Fz.data[:, degen] = np.nan
-        # the unscaled guard, whatever the context's guard_scale
-        q, bad = jb_div(F, Fz, DEN_GUARD)
+        q, _ = jb_div(F, Fz, ctx.den_guard)
         z = jb_sub(z, q)
     return z
 

@@ -480,8 +480,8 @@ def jb_cos(a: JetBatch) -> JetBatch:
 
 def jb_tan(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
     v = a.data[0]
-    # distance from the pole grid pi/2 + k*pi
-    dist = np.abs(((v / np.pi + 0.5) % 1.0) - 0.5) * np.pi
+    # distance from the nearest pole pi/2 + k*pi
+    dist = np.abs((v / np.pi) % 1.0 - 0.5) * np.pi
     bad = dist < guard
     safe = np.where(bad, 0.0, v)
     T = np.tan(safe)

@@ -55,6 +55,9 @@ SAMPLE_BOX = (0.2, 1.2)
 # points per scenario the finite-difference cross-check visits: the first
 # ones, and in a failing scenario also its worst-residual ones
 XCHECK_POINTS = 2
+# largest relative deviation between jet and finite-difference derivatives
+# that counts as agreement
+XCHECK_TOL = 1e-4
 
 # per-family residual tolerances; the implicit-root families carry an extra
 # digit of slack because every derivative passes through the root solve
@@ -622,7 +625,6 @@ def verify_family(
     n_points: int = 20,
     seed: int = 1,
     tol_rel: Optional[float] = None,
-    xcheck_tol: float = 1e-4,
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
     probe_branches: bool = False,
@@ -652,6 +654,7 @@ def verify_family(
     indeterminate = False
     failing = False
     fail_confirmed = True
+    probe = None
 
     for idx in range(n_scenarios):
         rng = _scenario_rng(seed, fam.family_id, idx)
@@ -662,6 +665,10 @@ def verify_family(
             indeterminate = True
             notes.append(str(exc))
             scen_rows.append({"index": idx, "status": "sampling_exhausted"})
+            scn = None
+        if idx == 0 and probe_branches and _has_rootof(fam.solution):
+            probe = _probe_alternate_branch(fam, scn, cfg)
+        if scn is None:
             continue
         rel, jet_data, iset, resampled = scenario_residuals(fam, scn, cfg, rng)
         resampled_total += resampled
@@ -695,7 +702,7 @@ def verify_family(
             worst_pts = np.sort(np.argsort(-rel, kind="stable")[:k])
             dev_worst = crosscheck_derivatives(
                 fam, scn, jet_data, iset, worst_pts, cfg)
-            if not (dev <= xcheck_tol and dev_worst <= xcheck_tol):
+            if not (dev <= XCHECK_TOL and dev_worst <= XCHECK_TOL):
                 fail_confirmed = False
             dev = max(dev, dev_worst)
             row["failing_points"] = [
@@ -722,24 +729,19 @@ def verify_family(
                 notes.append(
                     "residual exceeded tolerance but the derivative "
                     "cross-check also disagreed; evaluator suspect")
-    elif worst_dev > xcheck_tol:
+    elif worst_dev > XCHECK_TOL:
         verdict = "INDETERMINATE"
         notes.append(
             f"residuals in tolerance but derivative cross-check deviates "
-            f"({worst_dev:.2e} > {xcheck_tol:g})")
+            f"({worst_dev:.2e} > {XCHECK_TOL:g})")
     else:
         verdict = "PASS"
-
-    probe = None
-    if probe_branches and _has_rootof(fam.solution):
-        probe = _probe_alternate_branch(fam, cfg, seed, n_points,
-                                        base_shift, param_overrides)
 
     report = VerificationReport(
         family=fam.family_id,
         verdict=verdict,
         tol_rel=tol,
-        xcheck_tol=xcheck_tol,
+        xcheck_tol=XCHECK_TOL,
         seed=seed,
         n_scenarios=n_scenarios,
         points_per_scenario=n_points,
@@ -760,19 +762,16 @@ def verify_family(
     return report
 
 
-def _probe_alternate_branch(fam, cfg, seed, n_points, base_shift,
-                            param_overrides) -> dict:
-    """Re-run one scenario against the solution with all root seeds negated.
-    A second real branch of the root manifold, when one exists, should solve
-    the PDE as well; absence of a bracketable root is reported, not failed."""
-    alt = _negate_seeds(fam.solution)
-    rng = _scenario_rng(seed, fam.family_id, 0)
-    try:
-        scn = draw_scenario(fam, rng, 0, n_points, cfg, base_shift,
-                            param_overrides)
-    except SamplingExhausted:
+def _probe_alternate_branch(fam, scn: Optional[Scenario],
+                            cfg: NumericConfig) -> dict:
+    """Evaluate scenario scn, as drawn, against the solution with all root
+    seeds negated (None: no scenario could be drawn).  A second real branch
+    of the root manifold, when one exists, should solve the PDE as well;
+    absence of a bracketable root is reported, not failed."""
+    if scn is None:
         return {"branch": "negated_seed", "status": "sampling_exhausted"}
-    rel, data, _, kinds = _eval_rel(fam, scn, scn.points, cfg, alt)
+    rel, data, _, kinds = _eval_rel(fam, scn, scn.points, cfg,
+                                    _negate_seeds(fam.solution))
     if not np.isfinite(data).all():
         status = "no_root" if "root" in kinds else "unevaluable"
         return {"branch": "negated_seed", "status": status}

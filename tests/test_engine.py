@@ -8,7 +8,6 @@ difference quotients vs jet algebra).
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ class _Col:
         self.data = jb.data[:, 0]
         self.iset = jb.iset
         self.value = float(self.data[0])
-        self.kinds = [kind for kind, _detail in ctx.causes]
+        self.kinds = [kind for kind, _node in ctx.causes]
 
     def d(self, **orders):
         mi = tuple(orders.get(v, 0) for v in self.iset.variables)
@@ -222,8 +221,8 @@ def test_degenerate_root_poisons_its_column(scn_x):
     env = {"x": JetBatch.variable(iset, "x", np.array([0.0, 8.0]))}
     jb = eval_batch(e, env, ctx, 2)
     assert np.isnan(jb.data[:, 0]).all()
-    assert [kind for kind, _detail in ctx.causes] == ["degenerate"]
-    assert ctx.causes[0][1].endswith("(1 column(s))")
+    assert [kind for kind, _node in ctx.causes] == ["degenerate"]
+    assert list(ctx.causes.values()) == [1]
     assert jb.data[0, 1] == pytest.approx(2.0, abs=1e-12)
     assert jb.data[1, 1] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
@@ -252,7 +251,7 @@ def test_batch_poison_is_per_column(scn_x):
     assert np.isnan(jb.data[:, 1]).all()
     assert np.isfinite(jb.data[:, 2]).all()
     assert jb.data[0, 2] == pytest.approx(math.log(2.0))
-    assert ctx.causes and ctx.causes[0][0] == "domain"
+    assert _kinds_and_counts(ctx) == [("domain", 1)]
 
 
 def test_params_and_functions_resolve(scn_tx):
@@ -291,8 +290,7 @@ def _same_bits(a, b):
 
 
 def _kinds_and_counts(ctx):
-    return [(kind, int(re.search(r"\((\d+) column", detail).group(1)))
-            for kind, detail in ctx.causes]
+    return [(kind, n) for (kind, _node), n in ctx.causes.items()]
 
 
 def _isets(variables):
@@ -365,12 +363,14 @@ def test_hoisting_bit_identical_on_let(k):
     assert _same_bits(got.data, want.data)
 
 
-@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
-def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k):
-    # a < den_guard: inside the integrand, both the Div with a width-1
-    # denominator and the fully constant Div record one domain cause over
-    # all 15 nodes of each of the five columns (the K=4 boundary terms add
-    # more causes at the upper limit)
+# the helper evaluates twice: per pass, 15 nodes of each of the 5 columns in
+# the integrand, and at K=4 the upper-limit boundary terms add 5 columns to
+# xi/a (the integrand) and 10 to 1/a (the integrand and its dummy derivative)
+@pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 150), (1, 160, 170)],
+                         ids=["K1", "K4"])
+def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k, xi_a, one_a):
+    # a < den_guard: the Div with a width-1 denominator and the fully
+    # constant Div count their poisoned columns alike
     scn_tx.parameters["a"] = 0.25 * engine.DEN_GUARD
     e = parse("int(xi, base(p0), x, xi/a + 1/a + t)",
               Env(variables=("t", "x"), parameters=("a",)))
@@ -381,9 +381,9 @@ def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k):
     got, want, ctx, ctx2 = _hoisted_vs_full_width(e, env, scn_tx, iset, n)
     assert _same_bits(got.data, want.data)
     assert np.isnan(got.data).all()
-    causes = _kinds_and_counts(ctx)
-    assert causes == _kinds_and_counts(ctx2)
-    assert causes[:2] == [("domain", 15 * n)] * 2
+    assert _kinds_and_counts(ctx) == _kinds_and_counts(ctx2)
+    assert {(kind, X.to_text(node)): c for (kind, node), c in ctx.causes.items()} \
+        == {("domain", "xi/a"): xi_a, ("domain", "1/a"): one_a}
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
@@ -433,8 +433,8 @@ def test_leaf_slicing_bit_identical(scn_tx, monkeypatch, k):
 
 
 def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
-    # ln(eta - 0.3) is poisoned on part of the inner range: sliced, each
-    # inner quadrature call still notes one domain cause over its nodes
+    # ln(eta - 0.3) is poisoned on part of the inner range: sliced, the
+    # slices add up to the counts of one whole-batch evaluation
     e = parse("int(xi, base(p0), x, int(eta, base(p1), xi, ln(eta - 3/10)))",
               Env(variables=("t", "x")))
     iset = _isets(("t", "x"))[1]
@@ -519,10 +519,9 @@ def test_interning_bit_identical(monkeypatch, fid):
             plain = _solution_jets(fam, scn, iset)
         assert _same_bits(interned[0], plain[0])
         assert np.isfinite(interned[0]).all()
-        # a merged repeat notes its causes once: the kinds and the first
-        # cause are what the verifier reads
-        assert {k for k, _ in interned[1]} == {k for k, _ in plain[1]}
-        assert interned[1][:1] == plain[1][:1]
+        # a merged repeat is evaluated, and counts its causes, once: the
+        # same (kind, node) pairs are recorded, and the verifier reads kinds
+        assert set(interned[1]) == set(plain[1])
 
 
 def test_interning_shares_subtrees_and_keeps_roots():

@@ -13,12 +13,16 @@ from pdegensol.numeric.jets import (
     IndexSet,
     JetBatch,
     jb_cos,
+    jb_div,
     jb_exp,
     jb_ln,
     jb_mul,
+    jb_powc,
+    jb_powi,
     jb_reciprocal,
     jb_sin,
     jb_sqrt,
+    jb_tan,
     set_partitions,
 )
 
@@ -158,6 +162,40 @@ def test_ln_sqrt_reciprocal_consistency():
     val = one.data[0]
     assert np.allclose(val, 1.0, rtol=1e-12)
     assert np.allclose(one.data[1:], 0.0, atol=1e-10)
+
+
+_G = 1e-8
+_HALF_PI = np.pi / 2
+# arguments, and which of them lie within _G of the singular set 0 (of the
+# reciprocal and negative powers) or (-inf, 0] (of ln, sqrt, real powers)
+_NEAR_ZERO = ([-1.0, -2 * _G, -0.5 * _G, 0.0, 0.5 * _G, 2 * _G, 1.0],
+              [False, False, True, True, True, False, False])
+_NONPOSITIVE = ([-1.0, -0.5 * _G, 0.0, 0.5 * _G, 2 * _G, 1.0],
+                [True, True, True, True, False, False])
+_GUARDED = {
+    "div": (lambda a: jb_div(JetBatch.constants(a.iset, np.ones(a.n)), a, _G),
+            *_NEAR_ZERO),
+    "powi": (lambda a: jb_powi(a, -3, _G), *_NEAR_ZERO),
+    "ln": (lambda a: jb_ln(a, _G), *_NONPOSITIVE),
+    "sqrt": (lambda a: jb_sqrt(a, _G), *_NONPOSITIVE),
+    "powc": (lambda a: jb_powc(a, 1.5, _G), *_NONPOSITIVE),
+    # the singular set of tan is its poles pi/2 + k*pi, not its zeros
+    "tan": (lambda a: jb_tan(a, _G),
+            [0.0, 1e-9, _HALF_PI, _HALF_PI - 1e-12, _HALF_PI + 0.5 * _G,
+             _HALF_PI + 2 * _G, np.pi, -_HALF_PI, 3 * _HALF_PI - 1e-10, 1.0],
+            [False, False, True, True, True, False, False, True, True, False]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_guard_poisons_exactly_its_singular_set(name):
+    op, args, near = _GUARDED[name]
+    near = np.array(near)
+    iset = IndexSet(("x",), {(3,)})
+    out, bad = op(JetBatch.variable(iset, "x", np.array(args)))
+    assert bad is not None and np.array_equal(bad, near)
+    assert np.isnan(out.data[:, near]).all()
+    assert np.isfinite(out.data[:, ~near]).all()
 
 
 def test_variable_jet_rows():

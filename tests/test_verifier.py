@@ -282,7 +282,15 @@ def _one_record_family(pde, sol):
 ])
 def test_probe_status(pde, sol, status):
     fam = _one_record_family(pde, sol)
-    probe = _probe_alternate_branch(fam, CFG, 1, 6, 0.0, None)
+    if status == "sampling_exhausted":
+        # no scenario 0 to probe: the report says why
+        r = verify_family(fam, CFG, n_scenarios=1, n_points=6, seed=1,
+                          probe_branches=True)
+        probe = r.branch_probe
+    else:
+        scn = draw_scenario(fam, verifier._scenario_rng(1, fam.family_id, 0),
+                            0, 6, CFG)
+        probe = _probe_alternate_branch(fam, scn, CFG)
     assert probe["status"] == status
 
 
