@@ -25,9 +25,9 @@ import numpy as np
 
 from .catalog import family_ids, get_family
 from .expr_core import to_text
-from .numeric import EvalError, NumericConfig
-from .verifier import (SAMPLE_BOX, _scenario_rng, draw_scenario,
-                       solution_values, verify_catalog)
+from .numeric import EvalError
+from .verifier import (SAMPLE_BOX, _scenario_rng, check_overrides,
+                       draw_scenario, solution_values, verify_catalog)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=int, default=1)
     vp.add_argument("--scenarios", type=int, default=5)
     vp.add_argument("--points", type=int, default=20)
-    vp.add_argument("--tol", type=float, default=None,
-                    help="override the per-family residual tolerance")
     vp.add_argument("--base-shift", type=float, default=0.0,
                     help="shift every integral base point by this amount")
     vp.add_argument("--set", dest="overrides", action="append", default=[],
@@ -138,23 +136,18 @@ def _cmd_verify(args) -> int:
         ids = family_ids()
     else:
         ids = args.ids
-    for fid in ids:
-        get_family(fid)  # surface unknown ids before any work
     overrides = _parse_overrides(args.overrides) or None
-    kw = dict(
-        n_scenarios=args.scenarios,
-        n_points=args.points,
-        seed=args.seed,
-        base_shift=args.base_shift,
-        param_overrides=overrides,
-        probe_branches=args.probe_branches,
-    )
-    if args.tol is not None:
-        kw["tol_rel"] = args.tol
+    for fid in ids:
+        # surface unknown ids and parameters before any work
+        check_overrides(get_family(fid), overrides)
 
     t0 = time.monotonic()
     reports = []
-    for r in verify_catalog(ids, **kw):
+    for r in verify_catalog(ids, n_scenarios=args.scenarios,
+                            n_points=args.points, seed=args.seed,
+                            base_shift=args.base_shift,
+                            param_overrides=overrides,
+                            probe_branches=args.probe_branches):
         reports.append(r)
         if args.as_json:
             continue
@@ -177,7 +170,9 @@ def _cmd_verify(args) -> int:
                 fh.write(payload + "\n")
     else:
         npass = sum(r.verdict == "PASS" for r in reports)
-        worst = max((r.max_rel_residual for r in reports),
+        # NaN: a report with no evaluated scenario
+        worst = max((r.max_rel_residual for r in reports
+                     if not np.isnan(r.max_rel_residual)),
                     default=float("nan"))
         print(f"{npass}/{len(reports)} PASS, worst rel {worst:.2e}, "
               f"{time.monotonic() - t0:.1f}s total")
@@ -224,13 +219,11 @@ def _function_dict(fi):
 def _cmd_sample(args) -> int:
     fam = get_family(args.id)
     axes = _parse_grid(args.grid, fam)
-    cfg = NumericConfig()
-    scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 0, 8,
-                        cfg)
+    scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    w = solution_values(fam, scn, pts, cfg)
+    w = solution_values(fam, scn, pts)
     n_bad = int((~np.isfinite(w)).sum())
 
     scen_doc = {

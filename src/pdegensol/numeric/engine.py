@@ -122,12 +122,12 @@ class EvalContext:
     def record(self, kind: str, mask, node, width: int = 0) -> None:
         """Count the masked columns of node as poisoned by kind.  A mask
         narrower than width comes from width-1 operands and stands for all
-        width columns."""
-        n = 0
-        if mask is not None:
-            n = int(np.count_nonzero(mask))
-            if mask.size < width:
-                n *= width
+        width columns.  A mask of None records nothing."""
+        if mask is None:
+            return
+        n = int(np.count_nonzero(mask))
+        if mask.size < width:
+            n *= width
         self.causes[kind, node] += n
 
 
@@ -282,8 +282,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         a = _ev(e.num, env, ctx, n, memo)
         b = _ev(e.den, env, ctx, n, memo)
         out, bad = jb_div(a, b, ctx.den_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Pow):
         return _ev_pow(e, env, ctx, n, memo)
@@ -291,13 +290,11 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return jb_exp(_ev(e.arg, env, ctx, n, memo))
     if isinstance(e, X.Ln):
         out, bad = jb_ln(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Sqrt):
         out, bad = jb_sqrt(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Sin):
         return jb_sin(_ev(e.arg, env, ctx, n, memo))
@@ -305,8 +302,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return jb_cos(_ev(e.arg, env, ctx, n, memo))
     if isinstance(e, X.Tan):
         out, bad = jb_tan(_ev(e.arg, env, ctx, n, memo), ctx.tan_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.FuncApp):
         return _ev_funcapp(e, env, ctx, n, memo)
@@ -328,8 +324,7 @@ def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     nexp = X.int_exponent(e.exponent)
     if nexp is not None:
         out, bad = jb_powi(base, nexp, ctx.den_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     ejb = _ev(e.exponent, env, ctx, n, memo)
     if base.n < ejb.n:
@@ -337,12 +332,10 @@ def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if not ejb.data[1:].any():
         # constant exponent (per column): real power, positive base
         out, bad = jb_powc(base, ejb.data[0], ctx.pos_guard)
-        if bad is not None:
-            ctx.record("domain", bad, e, n)
+        ctx.record("domain", bad, e, n)
         return out
     ln_b, bad = jb_ln(base, ctx.pos_guard)
-    if bad is not None:
-        ctx.record("domain", bad, e, n)
+    ctx.record("domain", bad, e, n)
     return jb_exp(jb_mul(ejb, ln_b))
 
 

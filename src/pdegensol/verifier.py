@@ -16,12 +16,13 @@ numbers).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -64,6 +65,12 @@ XCHECK_TOL = 1e-4
 DEFAULT_TOL_REL = 1e-6
 FAMILY_TOL = {"3.7": 1e-5, "3.8": 1e-5}
 
+# the engine configuration every verdict is decided at
+CFG = NumericConfig()
+# the cross-check's: quadrature tightened so the difference quotients see a
+# quiet function
+XCHECK_CFG = NumericConfig(quad_rel_tol=1e-12, quad_abs_tol=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # Scenarios and sampling hints
@@ -75,7 +82,6 @@ class Scenario:
     base points, and the sample points (rows of `points`, one column per
     independent variable)."""
 
-    index: int
     variables: Tuple[str, ...]
     parameters: Dict[str, float]
     functions: Dict[str, FunctionInstance]
@@ -285,7 +291,7 @@ def draw_function(rng: np.random.Generator, name: str, arity: int,
 
 
 def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
-                    cfg: NumericConfig,
+                    cfg: NumericConfig = CFG,
                     guard_scale: float = 1.0) -> np.ndarray:
     """Value-only evaluation of the solution at the rows of `pts`."""
     iset0 = IndexSet(fam.variables, {(0,) * len(fam.variables)})
@@ -297,21 +303,19 @@ def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     return eval_batch(fam.solution, env, ctx, len(pts)).value()
 
 
-def _prescan_ok(fam: PdeFamily, scn: Scenario, cfg: NumericConfig) -> bool:
+def _prescan_ok(fam: PdeFamily, scn: Scenario) -> bool:
     """Value-only evaluation with widened guards; rejects scenarios whose
     points sit near a domain wall anywhere along the integration paths.
     A failing point is a NaN column; an EvalError (a malformed tree, an
     unbound name, the nesting limit) no redraw can fix, so it propagates."""
-    w = solution_values(fam, scn, scn.points, cfg, PRESCAN_GUARD)
+    w = solution_values(fam, scn, scn.points, guard_scale=PRESCAN_GUARD)
     return bool(np.isfinite(w).all())
 
 
 def draw_scenario(
     fam: PdeFamily,
     rng: np.random.Generator,
-    index: int,
     n_points: int,
-    cfg: NumericConfig,
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
 ) -> Scenario:
@@ -334,9 +338,9 @@ def draw_scenario(
             funcs[name] = draw_function(rng, name, arity, spec)
         bases = {b: base_shift for b in fam.base_names}
         pts = rng.uniform(*SAMPLE_BOX, size=(n_points, len(fam.variables)))
-        scn = Scenario(index, fam.variables, params, funcs, bases, pts,
+        scn = Scenario(fam.variables, params, funcs, bases, pts,
                        sampling_attempts=attempt)
-        if _prescan_ok(fam, scn, cfg):
+        if _prescan_ok(fam, scn):
             return scn
     raise SamplingExhausted(
         f"family {fam.family_id}: no admissible scenario in "
@@ -348,7 +352,7 @@ def draw_scenario(
 
 
 def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
-              cfg: NumericConfig, solution: Optional[X.Expr] = None,
+              solution: Optional[X.Expr] = None,
               ) -> Tuple[np.ndarray, np.ndarray, IndexSet, set]:
     """Relative PDE residual at each point of `solution` (default: the
     family's), the solution jet rows, their index set, and the cause kinds
@@ -361,7 +365,7 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
         v: JetBatch.variable(iset, v, pts[:, i].copy())
         for i, v in enumerate(fam.variables)
     }
-    ctx = EvalContext(iset, scn, cfg)
+    ctx = EvalContext(iset, scn, CFG)
     # poisoned columns propagate NaN through every jet op; silence the
     # resulting invalid/overflow chatter, the masks below dispose of them
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -375,7 +379,7 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
         }
         for name, mi in fam.deriv_orders.items():
             env0[name] = JetBatch.constants(iset0, jb.data[iset.pos[mi]])
-        ctx0 = EvalContext(iset0, scn, cfg)
+        ctx0 = EvalContext(iset0, scn, CFG)
         vals = np.array([
             eval_batch(term, env0, ctx0, n).value() for term in fam.pde_terms
         ])
@@ -398,7 +402,6 @@ def _chunk_sizes(fam: PdeFamily, n: int) -> List[slice]:
 def scenario_residuals(
     fam: PdeFamily,
     scn: Scenario,
-    cfg: NumericConfig,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, IndexSet, int]:
     """Residuals at the scenario's points, replacing points that poison
@@ -416,7 +419,7 @@ def scenario_residuals(
         parts_rel = []
         parts_data = []
         for sl in _chunk_sizes(fam, len(pts)):
-            r, d, iset, _ = _eval_rel(fam, scn, pts[sl], cfg)
+            r, d, iset, _ = _eval_rel(fam, scn, pts[sl])
             parts_rel.append(r)
             parts_data.append(d)
         rel_t = np.concatenate(parts_rel)
@@ -477,13 +480,10 @@ def crosscheck_derivatives(
     jet_data: np.ndarray,
     iset: IndexSet,
     point_idx: np.ndarray,
-    cfg: NumericConfig,
 ) -> float:
     """Worst deviation between jet derivative rows and Richardson-improved
     central differences of raw solution values at the selected points.
     Deviation is scaled by max(1, |jet value|)."""
-    # tighten quadrature so the difference quotients see a quiet function
-    tight = replace(cfg, quad_rel_tol=1e-12, quad_abs_tol=1e-14)
     alphas = sorted({mi for mi in fam.deriv_orders.values() if sum(mi) > 0})
     pts = scn.points[point_idx]
     npts = len(pts)
@@ -516,7 +516,7 @@ def crosscheck_derivatives(
     w = np.empty(nall)
     for s in range(0, nall, max(maxcols, 1)):
         sl = slice(s, min(s + maxcols, nall))
-        w[sl] = solution_values(fam, scn, allpts[sl], tight)
+        w[sl] = solution_values(fam, scn, allpts[sl], XCHECK_CFG)
     if not np.isfinite(w).all():
         return float("inf")
 
@@ -548,6 +548,11 @@ def _negate_seeds(e: X.Expr) -> X.Expr:
     if isinstance(e, X.RootOf):
         return X.RootOf(e.dummy, e.body, -e.seed)
     return e
+
+
+# one negated tree per solution: the engine caches nodes by identity, so a
+# tree built per probe would pin new cache entries on every call
+_negated_solution = functools.cache(_negate_seeds)
 
 
 def _has_rootof(e: X.Expr) -> bool:
@@ -618,38 +623,44 @@ def _scenario_rng(seed: int, family_id: str, *index: int):
     return np.random.default_rng(ss)
 
 
+def check_overrides(fam: PdeFamily,
+                    param_overrides: Optional[Dict[str, float]]) -> None:
+    """Raise ValueError when an override names no parameter of fam."""
+    unknown = sorted(set(param_overrides or ()) - set(fam.parameters))
+    if unknown:
+        raise ValueError(
+            f"family {fam.family_id} has no parameter {', '.join(unknown)}; "
+            f"its parameters: {', '.join(fam.parameters) or 'none'}")
+
+
 def verify_family(
     family,
-    cfg: Optional[NumericConfig] = None,
     n_scenarios: int = 5,
     n_points: int = 20,
     seed: int = 1,
-    tol_rel: Optional[float] = None,
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
     probe_branches: bool = False,
 ) -> VerificationReport:
-    """Verify one family over randomized scenarios.
+    """Verify one family over randomized scenarios at its registered
+    tolerance.
 
     A FAIL verdict is only issued when the finite-difference cross-check
     agrees with the jet derivatives in the failing scenario, at its first
-    and at its worst-residual points, and the tolerance sits well above the
-    numeric floor; anything murkier is INDETERMINATE."""
+    and at its worst-residual points; anything murkier is INDETERMINATE."""
     for what, count in (("scenario", n_scenarios), ("point", n_points)):
         if count < 1:
             raise ValueError(f"{what} count must be at least 1, got {count}")
     fam = family if isinstance(family, PdeFamily) else get_family(family)
-    cfg = cfg or NumericConfig()
-    tol = tol_rel if tol_rel is not None else FAMILY_TOL.get(
-        fam.family_id, DEFAULT_TOL_REL)
-    floor = 100.0 * cfg.quad_rel_tol
-    can_fail = tol >= 10.0 * floor
+    check_overrides(fam, param_overrides)
+    tol = FAMILY_TOL.get(fam.family_id, DEFAULT_TOL_REL)
 
     t0 = time.monotonic()
     scen_rows: List[dict] = []
     notes: List[str] = []
-    worst_rel = 0.0
-    worst_dev = 0.0
+    # per evaluated scenario: worst residual and worst cross-check deviation
+    rels: List[float] = []
+    devs: List[float] = []
     resampled_total = 0
     indeterminate = False
     failing = False
@@ -659,7 +670,7 @@ def verify_family(
     for idx in range(n_scenarios):
         rng = _scenario_rng(seed, fam.family_id, idx)
         try:
-            scn = draw_scenario(fam, rng, idx, n_points, cfg, base_shift,
+            scn = draw_scenario(fam, rng, n_points, base_shift,
                                 param_overrides)
         except SamplingExhausted as exc:
             indeterminate = True
@@ -667,10 +678,10 @@ def verify_family(
             scen_rows.append({"index": idx, "status": "sampling_exhausted"})
             scn = None
         if idx == 0 and probe_branches and _has_rootof(fam.solution):
-            probe = _probe_alternate_branch(fam, scn, cfg)
+            probe = _probe_alternate_branch(fam, scn, tol)
         if scn is None:
             continue
-        rel, jet_data, iset, resampled = scenario_residuals(fam, scn, cfg, rng)
+        rel, jet_data, iset, resampled = scenario_residuals(fam, scn, rng)
         resampled_total += resampled
         ok = np.isfinite(rel)
         if not ok.all():
@@ -682,11 +693,10 @@ def verify_family(
                               "parameters": scn.parameters})
             continue
         mx = float(rel.max())
-        worst_rel = max(worst_rel, mx)
+        rels.append(mx)
 
         k = min(XCHECK_POINTS, n_points)
-        dev = crosscheck_derivatives(
-            fam, scn, jet_data, iset, np.arange(k), cfg)
+        dev = crosscheck_derivatives(fam, scn, jet_data, iset, np.arange(k))
         row = {
             "index": idx,
             "status": "ok",
@@ -701,7 +711,7 @@ def verify_family(
             # the jets must agree where the residual failed, too
             worst_pts = np.sort(np.argsort(-rel, kind="stable")[:k])
             dev_worst = crosscheck_derivatives(
-                fam, scn, jet_data, iset, worst_pts, cfg)
+                fam, scn, jet_data, iset, worst_pts)
             if not (dev <= XCHECK_TOL and dev_worst <= XCHECK_TOL):
                 fail_confirmed = False
             dev = max(dev, dev_worst)
@@ -710,25 +720,21 @@ def verify_family(
                  "point": dict(zip(fam.variables, map(float, scn.points[i]))),
                  "rel_residual": float(rel[i])}
                 for i in np.flatnonzero(rel > tol)]
-        worst_dev = max(worst_dev, dev)
+        devs.append(dev)
         row["xcheck_max_dev"] = _jsonable(dev)
         scen_rows.append(row)
 
+    # NaN (JSON null) when no scenario was evaluated
+    worst_dev = max(devs, default=float("nan"))
     if indeterminate:
         verdict = "INDETERMINATE"
+    elif failing and fail_confirmed:
+        verdict = "FAIL"
     elif failing:
-        if can_fail and fail_confirmed:
-            verdict = "FAIL"
-        else:
-            verdict = "INDETERMINATE"
-            if not can_fail:
-                notes.append(
-                    f"tolerance {tol:g} is within 10x of the numeric floor "
-                    f"{floor:g}; residual excess is not attributable")
-            else:
-                notes.append(
-                    "residual exceeded tolerance but the derivative "
-                    "cross-check also disagreed; evaluator suspect")
+        verdict = "INDETERMINATE"
+        notes.append(
+            "residual exceeded tolerance but the derivative "
+            "cross-check also disagreed; evaluator suspect")
     elif worst_dev > XCHECK_TOL:
         verdict = "INDETERMINATE"
         notes.append(
@@ -745,16 +751,16 @@ def verify_family(
         seed=seed,
         n_scenarios=n_scenarios,
         points_per_scenario=n_points,
-        max_rel_residual=worst_rel if scen_rows else float("nan"),
+        max_rel_residual=max(rels, default=float("nan")),
         xcheck_max_dev=worst_dev,
         resampled_points=resampled_total,
         scenarios=scen_rows,
         notes=notes,
         engine={
             "version": __version__,
-            "quad_rel_tol": cfg.quad_rel_tol,
-            "quad_abs_tol": cfg.quad_abs_tol,
-            "root_tol": cfg.root_tol,
+            "quad_rel_tol": CFG.quad_rel_tol,
+            "quad_abs_tol": CFG.quad_abs_tol,
+            "root_tol": CFG.root_tol,
         },
         branch_probe=probe,
         wall_time_s=time.monotonic() - t0,
@@ -762,21 +768,20 @@ def verify_family(
     return report
 
 
-def _probe_alternate_branch(fam, scn: Optional[Scenario],
-                            cfg: NumericConfig) -> dict:
+def _probe_alternate_branch(fam, scn: Optional[Scenario], tol: float) -> dict:
     """Evaluate scenario scn, as drawn, against the solution with all root
-    seeds negated (None: no scenario could be drawn).  A second real branch
-    of the root manifold, when one exists, should solve the PDE as well;
-    absence of a bracketable root is reported, not failed."""
+    seeds negated (None: no scenario could be drawn), at residual tolerance
+    tol.  A second real branch of the root manifold, when one exists, should
+    solve the PDE as well; absence of a bracketable root is reported, not
+    failed, and so is any point the branch cannot evaluate."""
     if scn is None:
         return {"branch": "negated_seed", "status": "sampling_exhausted"}
-    rel, data, _, kinds = _eval_rel(fam, scn, scn.points, cfg,
-                                    _negate_seeds(fam.solution))
-    if not np.isfinite(data).all():
+    rel, _, _, kinds = _eval_rel(fam, scn, scn.points,
+                                 _negated_solution(fam.solution))
+    if not np.isfinite(rel).all():
         status = "no_root" if "root" in kinds else "unevaluable"
         return {"branch": "negated_seed", "status": status}
-    mx = float(np.nanmax(rel))
-    tol = FAMILY_TOL.get(fam.family_id, DEFAULT_TOL_REL)
+    mx = float(rel.max())
     return {
         "branch": "negated_seed",
         "status": "solves" if mx <= tol else "does_not_solve",
@@ -786,7 +791,6 @@ def _probe_alternate_branch(fam, scn: Optional[Scenario],
 
 def verify_catalog(
     ids: Optional[List[str]] = None,
-    cfg: Optional[NumericConfig] = None,
     **kw,
 ) -> Iterator[VerificationReport]:
     """Verify several families (default: the whole catalog) in a thread
@@ -798,4 +802,4 @@ def verify_catalog(
     ids = list(ids) if ids else family_ids()
     workers = min(len(ids), os.cpu_count() or 1)
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(lambda fid: verify_family(fid, cfg, **kw), ids)
+        yield from ex.map(lambda fid: verify_family(fid, **kw), ids)

@@ -74,7 +74,7 @@ def test_leaf_quadrature_44(benchmark, monkeypatch):
     # int(rho, base(q0), sigma, b(rho, eta)), value-only over about 1e6
     # nodes: the driver rounds plus the sliced leaf callback
     fam = get_family("4.4")
-    scn = draw_scenario(fam, _scenario_rng(1, "4.4", 0), 0, 2, CFG)
+    scn = draw_scenario(fam, _scenario_rng(1, "4.4", 0), 2)
     inner = next(n for n in X.walk(fam.solution)
                  if isinstance(n, X.Integral) and n.dummy == "rho")
     iset = IndexSet(fam.variables, [(0, 0)])
@@ -127,7 +127,7 @@ def test_root_body_batch(benchmark, monkeypatch):
     # one value-only batch of 3.7's root body (an adaptive integral in Z)
     # over 200 columns, as the bracketing and bisection loop calls it
     fam = get_family("3.7")
-    scn = draw_scenario(fam, _scenario_rng(1, "3.7", 0), 0, 2, CFG)
+    scn = draw_scenario(fam, _scenario_rng(1, "3.7", 0), 2)
     root = next(r for r in X.walk(fam.solution) if isinstance(r, X.RootOf))
     iset = IndexSet(fam.variables, [(0, 0)])
     cols = 200

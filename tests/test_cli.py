@@ -80,7 +80,7 @@ def test_verify_all_token_and_json_file(tmp_path, monkeypatch):
         def to_dict(self):
             return {"family": self.family, "verdict": "PASS"}
 
-    def fake_verify(fid, cfg=None, **kw):
+    def fake_verify(fid, **kw):
         seen.append(fid)
         return Stub(fid)
 
@@ -93,11 +93,49 @@ def test_verify_all_token_and_json_file(tmp_path, monkeypatch):
     assert [r["family"] for r in reports] == family_ids()
 
 
-def test_verify_tol_below_floor_exit_3(capsys):
-    rc = main(["verify", "3.1", "--scenarios", "1", "--points", "4",
-               "--tol", "1e-30"])
-    assert rc == 3
-    assert "INDETERMINATE" in capsys.readouterr().out
+def test_verify_tol_is_no_option(capsys):
+    # every verdict is decided at the family's registered tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3.1", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_verify_unknown_param_exit_4(capsys, monkeypatch):
+    # 3.1 has b, 3.2 has not: the check covers every listed family before
+    # the first one runs
+    import pdegensol.verifier as verifier
+
+    ran = []
+    monkeypatch.setattr(verifier, "verify_family",
+                        lambda fid, **kw: ran.append(fid))
+    for argv in (["3.1", "--set", "C=0"], ["3.1", "3.2", "--set", "b=0.5"]):
+        assert main(["verify", *argv, "--scenarios", "1", "--points", "2",
+                     "--json"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "has no parameter" in err
+    assert ran == []
+
+
+def test_verify_summary_skips_reports_without_numbers(capsys, monkeypatch):
+    import pdegensol.verifier as verifier
+
+    rels = {"3.1": float("nan"), "3.2": 2e-9, "3.4": float("nan")}
+
+    class Stub:
+        verdict = "PASS"
+        xcheck_max_dev = 0.0
+        wall_time_s = 0.0
+        notes = []
+        branch_probe = None
+
+        def __init__(self, fid):
+            self.family = fid
+            self.max_rel_residual = rels[fid]
+
+    monkeypatch.setattr(verifier, "verify_family", lambda fid, **kw: Stub(fid))
+    assert main(["verify", *rels]) == 0
+    assert "worst rel 2.00e-09" in capsys.readouterr().out.splitlines()[-1]
 
 
 def test_sample_writes_csv_and_sidecar(tmp_path, capsys):

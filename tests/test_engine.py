@@ -326,7 +326,7 @@ def _hoisted_vs_full_width(e, env, scn, iset, n):
 
 def _draw(fid, npts=2):
     fam = get_family(fid)
-    return fam, draw_scenario(fam, _scenario_rng(1, fid, 0), 0, npts, CFG)
+    return fam, draw_scenario(fam, _scenario_rng(1, fid, 0), npts)
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])

@@ -12,9 +12,11 @@ import pytest
 
 import pdegensol.verifier as verifier
 from pdegensol.catalog import _build_family, _parse_records, get_family
-from pdegensol.numeric import NestLimitExceeded, NumericConfig, SamplingExhausted
+from pdegensol.numeric import NestLimitExceeded, SamplingExhausted
 from pdegensol.numeric import engine
 from pdegensol.verifier import (
+    CFG,
+    DEFAULT_TOL_REL,
     FAMILY_TOL,
     HINTS,
     FuncSpec,
@@ -31,8 +33,6 @@ from pdegensol.verifier import (
     verify_family,
 )
 
-CFG = NumericConfig()
-
 
 def test_draw_function_deterministic():
     r1 = np.random.default_rng(42)
@@ -47,7 +47,7 @@ def test_draw_function_deterministic():
 def test_draw_scenario_respects_hints():
     fam = get_family("3.5")
     rng = np.random.default_rng(7)
-    scn = draw_scenario(fam, rng, 0, 6, CFG)
+    scn = draw_scenario(fam, rng, 6)
     p = scn.parameters
     assert 0.7 <= p["a"] <= 1.1
     assert p["b"] ** 2 - 4 * p["a"] * p["k"] >= 0.05
@@ -62,7 +62,7 @@ def test_draw_scenario_exhaustion(monkeypatch):
     impossible = SamplingHints(admissible=lambda p: False)
     monkeypatch.setitem(HINTS, "3.1", impossible)
     with pytest.raises(SamplingExhausted):
-        draw_scenario(fam, rng, 0, 4, CFG)
+        draw_scenario(fam, rng, 4)
 
 
 def test_prescan_lets_eval_errors_through(monkeypatch):
@@ -76,11 +76,11 @@ def test_prescan_lets_eval_errors_through(monkeypatch):
 def test_scenario_residuals_resamples_bad_points():
     fam = get_family("3.6")
     rng = np.random.default_rng(3)
-    scn = draw_scenario(fam, rng, 0, 6, CFG)
+    scn = draw_scenario(fam, rng, 6)
     # t = -80 drives this family's inner exponential out of range, which
     # poisons that column; the resample loop must swap the point out
     scn.points[2] = (-80.0, 0.5)
-    rel, data, iset, resampled = scenario_residuals(fam, scn, CFG, rng)
+    rel, data, iset, resampled = scenario_residuals(fam, scn, rng)
     assert np.isfinite(rel).all()
     assert resampled >= 1
     # the sabotaged row was replaced inside the box
@@ -90,22 +90,22 @@ def test_scenario_residuals_resamples_bad_points():
 def test_residuals_tiny_for_valid_family():
     fam = get_family("3.4")
     rng = np.random.default_rng(11)
-    scn = draw_scenario(fam, rng, 0, 8, CFG)
-    rel, data, iset, _ = scenario_residuals(fam, scn, CFG, rng)
+    scn = draw_scenario(fam, rng, 8)
+    rel, data, iset, _ = scenario_residuals(fam, scn, rng)
     assert float(np.max(rel)) < 1e-10
 
 
 def test_crosscheck_catches_wrong_jet():
     fam = get_family("3.4")
     rng = np.random.default_rng(5)
-    scn = draw_scenario(fam, rng, 0, 4, CFG)
-    rel, data, iset, _ = scenario_residuals(fam, scn, CFG, rng)
-    dev = crosscheck_derivatives(fam, scn, data, iset, np.arange(2), CFG)
+    scn = draw_scenario(fam, rng, 4)
+    rel, data, iset, _ = scenario_residuals(fam, scn, rng)
+    dev = crosscheck_derivatives(fam, scn, data, iset, np.arange(2))
     assert dev < 1e-5
     # corrupt one derivative row: the check must notice
     broken = data.copy()
     broken[iset.pos[(1, 0)]] += 0.37
-    dev2 = crosscheck_derivatives(fam, scn, broken, iset, np.arange(2), CFG)
+    dev2 = crosscheck_derivatives(fam, scn, broken, iset, np.arange(2))
     assert dev2 > 0.05
 
 
@@ -161,8 +161,8 @@ def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
     # at fault
     real = verifier._eval_rel
 
-    def wrong_at_3(fam, scn, pts, cfg, solution=None):
-        rel, data, iset, kinds = real(fam, scn, pts, cfg, solution)
+    def wrong_at_3(fam, scn, pts, solution=None):
+        rel, data, iset, kinds = real(fam, scn, pts, solution)
         for mi, row in iset.pos.items():
             if sum(mi):
                 data[row, 3] += 1.0
@@ -182,19 +182,13 @@ def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
     assert all(0.0 < v < 2.0 for v in fp["point"].values())
 
 
-def test_tolerance_floor_guards_fail_verdict():
-    import copy
-
-    fam = copy.copy(get_family("3.1"))
-    from pdegensol.expr_core import Env, parse
-
-    env = Env(variables=fam.variables, parameters=fam.parameters,
-              functions=fam.functions)
-    fam.solution = parse(f"({fam.sol_text}) + x^2/50", env)
-    # tolerance below 10x the numeric floor: must refuse to call it FAIL
-    r = verify_family(fam, n_scenarios=1, n_points=4, tol_rel=1e-8)
-    assert r.verdict == "INDETERMINATE"
-    assert any("floor" in n for n in r.notes)
+def test_registered_tolerances_clear_numeric_floor():
+    # a residual excess is attributable to the solution only well above the
+    # numeric floor (100x the quadrature tolerance), so a FAIL verdict
+    # needs every registered tolerance at least 10x above that floor
+    floor = 100.0 * CFG.quad_rel_tol
+    for tol in [DEFAULT_TOL_REL, *FAMILY_TOL.values()]:
+        assert tol >= 10.0 * floor
 
 
 def test_param_overrides_pin_values():
@@ -202,6 +196,42 @@ def test_param_overrides_pin_values():
                       param_overrides={"c": 0.0})
     assert r.verdict == "PASS"
     assert r.scenarios[0]["parameters"]["c"] == 0.0
+
+
+def test_unknown_override_rejected_before_any_work(monkeypatch):
+    # "C" is no parameter of 3.1 (its c is): pinning it would leave c
+    # random and list a bogus "C" in the report
+    def no_draw(*a, **kw):
+        raise AssertionError("drew a scenario")
+
+    monkeypatch.setattr(verifier, "draw_scenario", no_draw)
+    with pytest.raises(ValueError, match=r"3\.1 has no parameter C; "
+                                         r"its parameters: b, c"):
+        verify_family("3.1", n_scenarios=1, n_points=2,
+                      param_overrides={"C": 0.0})
+
+
+def _unevaluable(real):
+    def every_point_nan(*a, **kw):
+        rel, data, iset, kinds = real(*a, **kw)
+        return np.full_like(rel, np.nan), data, iset, kinds
+    return every_point_nan
+
+
+@pytest.mark.parametrize("how", ["sampling_exhausted", "eval_incomplete"])
+def test_no_evaluated_scenario_reports_no_numbers(monkeypatch, how):
+    if how == "sampling_exhausted":
+        monkeypatch.setitem(HINTS, "3.1",
+                            SamplingHints(admissible=lambda p: False))
+    else:
+        monkeypatch.setattr(verifier, "_eval_rel",
+                            _unevaluable(verifier._eval_rel))
+    r = verify_family("3.1", n_scenarios=2, n_points=3)
+    assert r.verdict == "INDETERMINATE"
+    assert [row["status"] for row in r.scenarios] == [how, how]
+    assert np.isnan(r.max_rel_residual) and np.isnan(r.xcheck_max_dev)
+    d = json.loads(r.to_json())
+    assert d["max_rel_residual"] is None and d["xcheck_max_dev"] is None
 
 
 def test_base_shift_scenarios_pass():
@@ -249,7 +279,7 @@ def test_verify_catalog_streams_reports(monkeypatch):
     ids = ["3.1", "3.2", "3.4"]
     first_arrived = threading.Event()
 
-    def stub(fid, cfg=None, **kw):
+    def stub(fid, **kw):
         if fid == ids[-1] and not first_arrived.wait(timeout=10):
             raise TimeoutError("no report yielded before the last family")
         return fid
@@ -273,9 +303,9 @@ def _one_record_family(pde, sol):
     ("w_t - w_x", "rootof(Z, Z^2 - x - t, 1)", "solves"),
     ("w_t - w_x", "rootof(Z, Z - 20 - x, 1)", "sampling_exhausted"),
     # the PDE terms are not finite at x < 0.5 while the solution jet is:
-    # the probe judges the remaining points instead of giving up
+    # the remaining points alone are no evidence that the branch solves
     ("w_t - w_x + ln(x - 0.5) - ln(x - 0.5)", "rootof(Z, Z^2 - x - t, 1)",
-     "solves"),
+     "unevaluable"),
     # only the positive root sqrt(t + x) solves this one
     ("2*w_t*sqrt(t + x) - 1", "rootof(Z, Z^2 - x - t, 1)",
      "does_not_solve"),
@@ -284,14 +314,27 @@ def test_probe_status(pde, sol, status):
     fam = _one_record_family(pde, sol)
     if status == "sampling_exhausted":
         # no scenario 0 to probe: the report says why
-        r = verify_family(fam, CFG, n_scenarios=1, n_points=6, seed=1,
+        r = verify_family(fam, n_scenarios=1, n_points=6, seed=1,
                           probe_branches=True)
         probe = r.branch_probe
     else:
         scn = draw_scenario(fam, verifier._scenario_rng(1, fam.family_id, 0),
-                            0, 6, CFG)
-        probe = _probe_alternate_branch(fam, scn, CFG)
+                            6)
+        probe = _probe_alternate_branch(fam, scn, DEFAULT_TOL_REL)
     assert probe["status"] == status
+
+
+def test_probed_runs_pin_no_new_engine_nodes():
+    # the negated-seed solution is built once per family solution, so
+    # repeated probed runs reuse the engine's node caches
+    def sizes():
+        verify_family("3.10", n_scenarios=1, n_points=2, seed=1,
+                      probe_branches=True)
+        return len(engine._canon), len(engine._root_derivative._ents)
+
+    first = sizes()
+    assert sizes() == first
+    assert sizes() == first
 
 
 def test_family_tolerances_registered():
