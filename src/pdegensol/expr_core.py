@@ -40,15 +40,19 @@ class Expr:
 
     __slots__ = ("_hash", "_free")
     _fields: tuple = ()
+    # a binder's (name field, scope field): the name is bound in the scope
+    # alone, for free names and substitution both
+    _binds: Optional[tuple] = None
 
     def _init_caches(self):
         key = [self.__class__.__name__]
         free: set = set()
+        name_field, scope = self._binds or (None, None)
         for f in self._fields:
             v = getattr(self, f)
             if isinstance(v, Expr):
                 key.append(v._hash)
-                free |= v._free
+                free |= (v._free - {getattr(self, name_field)}) if f == scope else v._free
             elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
                 key.append(tuple(c._hash for c in v))
                 for c in v:
@@ -215,26 +219,36 @@ class _Unary(Expr):
 
 class Exp(_Unary):
     __slots__ = ()
+    op = "exp"
 
 
 class Ln(_Unary):
     __slots__ = ()
+    op = "ln"
 
 
 class Sqrt(_Unary):
     __slots__ = ()
+    op = "sqrt"
 
 
 class Sin(_Unary):
     __slots__ = ()
+    op = "sin"
 
 
 class Cos(_Unary):
     __slots__ = ()
+    op = "cos"
 
 
 class Tan(_Unary):
     __slots__ = ()
+    op = "tan"
+
+
+# the elementary functions, by surface name
+UNARY = {c.op: c for c in (Exp, Ln, Sqrt, Sin, Cos, Tan)}
 
 
 class Integral(Expr):
@@ -242,6 +256,7 @@ class Integral(Expr):
 
     __slots__ = ("dummy", "lower", "upper", "integrand")
     _fields = ("dummy", "lower", "upper", "integrand")
+    _binds = ("dummy", "integrand")
 
     def __init__(self, dummy: str, lower: Expr, upper: Expr, integrand: Expr):
         self.dummy = dummy
@@ -250,20 +265,13 @@ class Integral(Expr):
         self.integrand = integrand
         self._init_caches()
 
-    def _adjust_free(self, free):
-        # the dummy is bound inside the integrand only
-        if self.dummy in self.integrand._free:
-            free_wo = set(self.lower._free) | set(self.upper._free)
-            free_wo |= self.integrand._free - {self.dummy}
-            free.clear()
-            free.update(free_wo)
-
 
 class RootOf(Expr):
     """rootof(dummy, body[, seed]): a real z with body[dummy := z] = 0."""
 
     __slots__ = ("dummy", "body", "seed")
     _fields = ("dummy", "body", "seed")
+    _binds = ("dummy", "body")
 
     def __init__(self, dummy: str, body: Expr, seed: Optional[float] = None):
         self.dummy = dummy
@@ -271,25 +279,19 @@ class RootOf(Expr):
         self.seed = None if seed is None else float(seed)
         self._init_caches()
 
-    def _adjust_free(self, free):
-        free.discard(self.dummy)
-
 
 class Let(Expr):
     """let(name, bound, body): body with name bound to the value of bound."""
 
     __slots__ = ("name", "bound", "body")
     _fields = ("name", "bound", "body")
+    _binds = ("name", "body")
 
     def __init__(self, name: str, bound: Expr, body: Expr):
         self.name = name
         self.bound = bound
         self.body = body
         self._init_caches()
-
-    def _adjust_free(self, free):
-        free.clear()
-        free.update(self.bound._free | (self.body._free - {self.name}))
 
 
 ZERO = Const(0)
@@ -369,7 +371,7 @@ def int_exponent(e: Expr) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Environment and parsing
 
-RESERVED = {"int", "rootof", "let", "base", "exp", "ln", "sqrt", "sin", "cos", "tan", "D"}
+RESERVED = {"int", "rootof", "let", "base", "D", *UNARY}
 
 
 class Env:
@@ -525,12 +527,11 @@ class _Parser:
             return self.dform(t)
         if name in ("int", "rootof", "let") and self.peek().kind == "(":
             return self.special(name, t)
-        if name in ("exp", "ln", "sqrt", "sin", "cos", "tan") and self.peek().kind == "(":
+        if name in UNARY and self.peek().kind == "(":
             self.next()
             arg = self.expr()
             self.expect(")")
-            cls = {"exp": Exp, "ln": Ln, "sqrt": Sqrt, "sin": Sin, "cos": Cos, "tan": Tan}[name]
-            return cls(arg)
+            return UNARY[name](arg)
         if self.peek().kind == "(":
             return self.func_app(name, t, 0)
         # plain identifier
@@ -670,18 +671,14 @@ def _fmt_seed(seed: float) -> str:
     return repr(seed)
 
 
+_PREC = {Add: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL, Neg: _PREC_NEG,
+         Pow: _PREC_POW}
+
+
 def _prec(e: Expr) -> int:
-    if isinstance(e, Add):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
     if isinstance(e, Const) and e.value < 0:
         return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC.get(e.__class__, _PREC_ATOM)
 
 
 def _wrap(e: Expr, minprec: int) -> str:
@@ -734,18 +731,8 @@ def to_text(e: Expr) -> str:
         return f"{_wrap(e.num, _PREC_MUL)}/{_wrap(e.den, _PREC_MUL + 1)}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_POW + 1)}^{_wrap(e.exponent, _PREC_NEG)}"
-    if isinstance(e, Exp):
-        return f"exp({to_text(e.arg)})"
-    if isinstance(e, Ln):
-        return f"ln({to_text(e.arg)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({to_text(e.arg)})"
-    if isinstance(e, Sin):
-        return f"sin({to_text(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_text(e.arg)})"
-    if isinstance(e, Tan):
-        return f"tan({to_text(e.arg)})"
+    if isinstance(e, _Unary):
+        return f"{e.op}({to_text(e.arg)})"
     if isinstance(e, Integral):
         lo = "base" if isinstance(e.lower, BasePoint) and e.lower.name == e.dummy else to_text(e.lower)
         return f"int({e.dummy}, {lo}, {to_text(e.upper)}, {to_text(e.integrand)})"
@@ -795,18 +782,13 @@ def _subst(e: Expr, subs: dict, repl_free: frozenset) -> Expr:
         return e
     if isinstance(e, (Var, Param)):
         return subs.get(e.name, e)
-    if isinstance(e, (Integral, RootOf, Let)):
+    if e._binds:
         return _subst_binder(e, subs, repl_free)
     return map_children(e, lambda c: _subst(c, subs, repl_free))
 
 
-# binder class: (the field naming its dummy, the field the dummy is bound in)
-_BINDERS = {Integral: ("dummy", "integrand"), RootOf: ("dummy", "body"),
-            Let: ("name", "body")}
-
-
 def _subst_binder(e, subs: dict, repl_free: frozenset):
-    name_field, scope = _BINDERS[e.__class__]
+    name_field, scope = e._binds
     dummy = getattr(e, name_field)
     inner_subs = {k: v for k, v in subs.items() if k != dummy}
     body = getattr(e, scope)
@@ -847,20 +829,6 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
     return r
 
 
-def _dmul(factors, i, dfi):
-    """Product rule helper: the i-th factor replaced by its derivative."""
-    fs = list(factors)
-    fs[i] = dfi
-    fs = [f for f in fs if not is_const(f, 1)]
-    if any(is_const(f, 0) for f in fs):
-        return ZERO
-    if not fs:
-        return ONE
-    if len(fs) == 1:
-        return fs[0]
-    return Mul(fs)
-
-
 def _sum(terms):
     terms = [t for t in terms if not is_const(t, 0)]
     if not terms:
@@ -891,11 +859,9 @@ def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Add):
         return _sum(_diff(t, var, memo) for t in e.terms)
     if isinstance(e, Mul):
-        return _sum(
-            _dmul(e.factors, i, _diff(f, var, memo))
-            for i, f in enumerate(e.factors)
-            if var in f._free
-        )
+        fs = e.factors
+        return _sum(_prod(fs[:i] + (_diff(f, var, memo),) + fs[i + 1:])
+                    for i, f in enumerate(fs) if var in f._free)
     if isinstance(e, Div):
         du = _diff(e.num, var, memo)
         dv = _diff(e.den, var, memo)

@@ -73,6 +73,13 @@ TAN_GUARD = 1e-8
 # 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
 _LEAF_SLICE = 32768
 
+# elementary function -> (its jet function, the context guard that function
+# takes, or None).  A guarded function's mask marks the columns outside its
+# domain; exp's marks the columns where a finite argument overflowed
+_UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, "pos_guard"),
+               X.Sqrt: (jb_sqrt, "pos_guard"), X.Sin: (jb_sin, None),
+               X.Cos: (jb_cos, None), X.Tan: (jb_tan, "tan_guard")}
+
 
 class EvalContext:
     """Evaluation state: index set, scenario bindings, config, guard scale,
@@ -286,23 +293,11 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return out
     if isinstance(e, X.Pow):
         return _ev_pow(e, env, ctx, n, memo)
-    if isinstance(e, X.Exp):
-        return jb_exp(_ev(e.arg, env, ctx, n, memo))
-    if isinstance(e, X.Ln):
-        out, bad = jb_ln(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
-        ctx.record("domain", bad, e, n)
-        return out
-    if isinstance(e, X.Sqrt):
-        out, bad = jb_sqrt(_ev(e.arg, env, ctx, n, memo), ctx.pos_guard)
-        ctx.record("domain", bad, e, n)
-        return out
-    if isinstance(e, X.Sin):
-        return jb_sin(_ev(e.arg, env, ctx, n, memo))
-    if isinstance(e, X.Cos):
-        return jb_cos(_ev(e.arg, env, ctx, n, memo))
-    if isinstance(e, X.Tan):
-        out, bad = jb_tan(_ev(e.arg, env, ctx, n, memo), ctx.tan_guard)
-        ctx.record("domain", bad, e, n)
+    if isinstance(e, X._Unary):
+        jet, guard = _UNARY_JETS[e.__class__]
+        a = _ev(e.arg, env, ctx, n, memo)
+        out, bad = jet(a) if guard is None else jet(a, getattr(ctx, guard))
+        ctx.record("domain" if guard else "overflow", bad, e, n)
         return out
     if isinstance(e, X.FuncApp):
         return _ev_funcapp(e, env, ctx, n, memo)
@@ -336,7 +331,9 @@ def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return out
     ln_b, bad = jb_ln(base, ctx.pos_guard)
     ctx.record("domain", bad, e, n)
-    return jb_exp(jb_mul(ejb, ln_b))
+    out, over = jb_exp(jb_mul(ejb, ln_b))
+    ctx.record("overflow", over, e, n)
+    return out
 
 
 def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:

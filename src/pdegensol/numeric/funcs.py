@@ -92,9 +92,6 @@ class FunctionInstance:
             out += self.sin_amp * w**k * np.sin(w * args[0] + self.sin_phase + k * math.pi / 2.0)
         return out
 
-    def __call__(self, *args) -> np.ndarray:
-        return self.eval((0,) * self.arity, args)
-
 
 def polynomial(name: str, arity: int, coeff_map: Dict[Monomial, float], **kw) -> FunctionInstance:
     items = tuple(sorted(coeff_map.items()))

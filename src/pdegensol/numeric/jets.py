@@ -23,7 +23,10 @@ array (a ufunc result made for the call); a row that is a view, a
 broadcast or narrower is copied, so no result shares memory with an
 input.
 
-Failures poison affected columns with NaN; callers record causes."""
+Each elementary function returns its jet and the mask of the columns it
+could not give a finite value, or None when there are none.  A guarded
+function poisons those columns with NaN; exp leaves its overflowed columns
+infinite.  Callers record the causes."""
 
 from __future__ import annotations
 
@@ -341,9 +344,6 @@ class JetBatch:
     def value(self) -> np.ndarray:
         return self.data[0]
 
-    def copy(self) -> "JetBatch":
-        return JetBatch(self.iset, self.data.copy())
-
     def gather(self, cols: np.ndarray) -> "JetBatch":
         return JetBatch(self.iset, self.data[:, cols])
 
@@ -363,7 +363,6 @@ def jb_mul(a: JetBatch, b: JetBatch) -> JetBatch:
 def jb_reciprocal(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
     v = a.data[0]
     bad = np.abs(v) < guard
-    any_bad = bool(bad.any())
     safe = np.where(bad, 1.0, v)
     inv = 1.0 / safe
     phis = [inv]
@@ -372,10 +371,7 @@ def jb_reciprocal(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndar
         p = p * inv * (-r)
         # p after the update equals (-1)^r r! v^-(r+1)
         phis.append(p)
-    out = a.iset.compose(phis, a.data)
-    if any_bad:
-        out[:, bad] = np.nan
-    return JetBatch(a.iset, out), (bad if any_bad else None)
+    return _compose1(a, phis, bad)
 
 
 def jb_div(a: JetBatch, b: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
@@ -405,19 +401,32 @@ def _powi_pos(a: JetBatch, n: int) -> JetBatch:
     return result
 
 
-def _compose1(a: JetBatch, phis: List[np.ndarray], bad: Optional[np.ndarray]) -> Tuple[JetBatch, Optional[np.ndarray]]:
+def _compose1(a: JetBatch, phis: List[np.ndarray], bad: np.ndarray) -> Tuple[JetBatch, Optional[np.ndarray]]:
+    """phi(a) with the bad columns poisoned, and bad, or None when no
+    column is bad."""
     out = a.iset.compose(phis, a.data)
-    if bad is not None and bad.any():
+    if bad.any():
         out[:, bad] = np.nan
         return JetBatch(a.iset, out), bad
     return JetBatch(a.iset, out), None
 
 
-def jb_exp(a: JetBatch) -> JetBatch:
-    with np.errstate(over="ignore"):
-        e = np.exp(a.data[0])
+def jb_exp(a: JetBatch) -> Tuple[JetBatch, Optional[np.ndarray]]:
+    """exp(a), and the columns where a finite value overflowed (None when
+    there are none); they keep their infinite values."""
+    v = a.data[0]
+    over = None
+    try:
+        # exp raises the overflow flag for a finite argument only, so the
+        # common case pays for no mask
+        with np.errstate(over="raise"):
+            e = np.exp(v)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            e = np.exp(v)
+        over = np.isinf(e) & np.isfinite(v)
     phis = [e] * (a.iset.max_order + 1)
-    return JetBatch(a.iset, a.iset.compose(phis, a.data))
+    return JetBatch(a.iset, a.iset.compose(phis, a.data)), over
 
 
 def jb_ln(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
@@ -430,7 +439,7 @@ def jb_ln(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
     for r in range(1, a.iset.max_order + 1):
         phis.append(p)
         p = p * inv * (-r)
-    return _compose1(a, phis, bad if bad.any() else None)
+    return _compose1(a, phis, bad)
 
 
 def jb_sqrt(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
@@ -445,7 +454,7 @@ def jb_sqrt(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
         phis.append(c * p)
         p = p / safe
         c = c * (0.5 - r)
-    return _compose1(a, phis, bad if bad.any() else None)
+    return _compose1(a, phis, bad)
 
 
 def jb_powc(a: JetBatch, c: float, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
@@ -459,23 +468,23 @@ def jb_powc(a: JetBatch, c: float, guard: float) -> Tuple[JetBatch, Optional[np.
         with np.errstate(invalid="ignore"):
             phis.append(coef * safe ** (c - r))
         coef = coef * (c - r)
-    return _compose1(a, phis, bad if bad.any() else None)
+    return _compose1(a, phis, bad)
 
 
-def jb_sin(a: JetBatch) -> JetBatch:
+def jb_sin(a: JetBatch) -> Tuple[JetBatch, None]:
     v = a.data[0]
     s, co = np.sin(v), np.cos(v)
     cycle = [s, co, -s, -co]
     phis = [cycle[r % 4] for r in range(a.iset.max_order + 1)]
-    return JetBatch(a.iset, a.iset.compose(phis, a.data))
+    return JetBatch(a.iset, a.iset.compose(phis, a.data)), None
 
 
-def jb_cos(a: JetBatch) -> JetBatch:
+def jb_cos(a: JetBatch) -> Tuple[JetBatch, None]:
     v = a.data[0]
     s, co = np.sin(v), np.cos(v)
     cycle = [co, -s, -co, s]
     phis = [cycle[r % 4] for r in range(a.iset.max_order + 1)]
-    return JetBatch(a.iset, a.iset.compose(phis, a.data))
+    return JetBatch(a.iset, a.iset.compose(phis, a.data)), None
 
 
 def jb_tan(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
@@ -491,4 +500,4 @@ def jb_tan(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
         phis.append(2 * T * (1 + T2))
     if a.iset.max_order >= 3:
         phis.append((1 + T2) * (2 + 6 * T2))
-    return _compose1(a, phis, bad if bad.any() else None)
+    return _compose1(a, phis, bad)

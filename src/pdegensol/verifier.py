@@ -82,7 +82,6 @@ class Scenario:
     base points, and the sample points (rows of `points`, one column per
     independent variable)."""
 
-    variables: Tuple[str, ...]
     parameters: Dict[str, float]
     functions: Dict[str, FunctionInstance]
     base_points: Dict[str, float]
@@ -338,8 +337,7 @@ def draw_scenario(
             funcs[name] = draw_function(rng, name, arity, spec)
         bases = {b: base_shift for b in fam.base_names}
         pts = rng.uniform(*SAMPLE_BOX, size=(n_points, len(fam.variables)))
-        scn = Scenario(fam.variables, params, funcs, bases, pts,
-                       sampling_attempts=attempt)
+        scn = Scenario(params, funcs, bases, pts, sampling_attempts=attempt)
         if _prescan_ok(fam, scn):
             return scn
     raise SamplingExhausted(

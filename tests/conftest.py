@@ -10,7 +10,9 @@ from pdegensol.numeric import NumericConfig, polynomial
 
 
 class StubScenario:
-    """Bare scenario: just the four attributes the engine reads."""
+    """Bare scenario: the three attributes the engine reads (parameters,
+    functions, base_points), plus the variables test_engine's _jet helper
+    reads."""
 
     def __init__(self, variables, parameters=None, functions=None,
                  base_points=None):

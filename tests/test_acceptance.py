@@ -88,7 +88,10 @@ def test_criterion_2_elementary_families(capsys):
     for seed in (1, 2, 3):
         for fid in ELEMENTARY:
             r = verify_family(fid, n_scenarios=5, n_points=20, seed=seed)
-            worst = max(worst, r.max_rel_residual)
+            # a report with no evaluated scenario carries NaN: skip it, as
+            # max() with a NaN item depends on the order of the items
+            if not np.isnan(r.max_rel_residual):
+                worst = max(worst, r.max_rel_residual)
             if r.verdict != "PASS":
                 failed.append((fid, seed, r.verdict))
             if r.tol_rel != TOL_ELEMENTARY:
@@ -114,7 +117,8 @@ def test_criterion_3_full_catalog(capsys, full_run):
     # every verdict was adjudicated at the cross-check bound a FAIL needs
     loose = [(r.family, r.xcheck_tol) for r in reports
              if r.xcheck_tol != ADJUDICATION_XCHECK]
-    worst = max(r.max_rel_residual for r in reports)
+    worst = max((r.max_rel_residual for r in reports
+                 if not np.isnan(r.max_rel_residual)), default=float("nan"))
     ok = (not bad and not loose and wall < FULL_RUN_BUDGET_S
           and len(reports) == 25)
     _report(capsys, 3, "full catalog", ok,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pdegensol import expr_core as X
 from pdegensol.catalog import get_family
@@ -28,7 +29,8 @@ from pdegensol.numeric import engine
 from pdegensol.numeric.quadrature import Panels
 from pdegensol.verifier import _scenario_rng, draw_scenario
 
-from conftest import central_diff, mk_poly1, richardson
+from conftest import StubScenario, central_diff, mk_poly1, richardson
+from test_expr_parse import ENV as PARSE_ENV, _texts
 
 CFG = NumericConfig()
 
@@ -252,6 +254,50 @@ def test_batch_poison_is_per_column(scn_x):
     assert np.isfinite(jb.data[:, 2]).all()
     assert jb.data[0, 2] == pytest.approx(math.log(2.0))
     assert _kinds_and_counts(ctx) == [("domain", 1)]
+
+
+# every non-finite column has a recorded cause.  The stand-ins fit the
+# parse tests' environment; the points cover [-3, 3]^2
+_CAUSE_SCN = StubScenario(
+    ("t", "x"), parameters={"a": 0.7, "b": -1.3, "c": 2.1},
+    functions={"F": mk_poly1("F", {0: 0.4, 1: -0.8, 2: 0.3}),
+               "G": mk_poly1("G", {0: 1.1, 1: 0.5})},
+    base_points={"p0": 0.25})
+_CAUSE_PTS = np.array([(t, x) for t in (-3.0, -1.1, 0.0, 1.7, 3.0)
+                       for x in (-3.0, -0.4, 0.9, 3.0)])
+
+
+def _causes_of_nonfinite(text, k):
+    iset = _isets(("t", "x"))[k]
+    n = len(_CAUSE_PTS)
+    env = {v: JetBatch.variable(iset, v, _CAUSE_PTS[:, i].copy())
+           for i, v in enumerate(("t", "x"))}
+    ctx = EvalContext(iset, _CAUSE_SCN, CFG)
+    with np.errstate(all="ignore"):
+        jb = eval_batch(parse(text, PARSE_ENV), env, ctx, n)
+    return np.isfinite(jb.data).all(axis=0), ctx.causes
+
+
+@pytest.mark.parametrize("text, k", [
+    (text, k) for text in ("exp(exp(exp(x)))",
+                           "int(xi, base(p0), exp(exp(exp(x))), xi + 1)",
+                           "F(exp(exp(exp(x))))^2")
+    for k in (0, 1)
+] + [("(x + 3)^(exp(exp(x)))", 1)])
+def test_overflow_is_a_cause(text, k):
+    # exp of a finite argument overflows at x = 3.  The power has a
+    # variable exponent at K=4 only, which it evaluates as exp(p ln b)
+    finite, causes = _causes_of_nonfinite(text, k)
+    assert not finite.all()
+    assert "overflow" in {kind for kind, _node in causes}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts)
+def test_no_nonfinite_column_without_a_cause(text):
+    for k in (0, 1):
+        finite, causes = _causes_of_nonfinite(text, k)
+        assert finite.all() or causes
 
 
 def test_params_and_functions_resolve(scn_tx):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdegensol.expr_core import (
+    RESERVED,
+    UNARY,
     Add,
     BasePoint,
     Const,
@@ -22,11 +24,13 @@ from pdegensol.expr_core import (
     Pow,
     RootOf,
     Var,
+    _Unary,
     flatten,
     map_children,
     parse,
     to_text,
 )
+from pdegensol.numeric import engine
 
 ENV = Env(variables=("t", "x"), parameters=("a", "b", "c"),
           functions={"F": 1, "G": 1, "q": 2})
@@ -234,3 +238,39 @@ def test_map_children_fields_leaves_other_fields_alone(text):
         for g in e._fields:
             if g != f:
                 assert getattr(out, g) is getattr(e, g)
+
+
+# --- the language's declarations: one table per decision --------------------
+
+
+def _subclasses(cls):
+    for c in cls.__subclasses__():
+        yield c
+        yield from _subclasses(c)
+
+
+def test_elementary_functions_are_declared_once():
+    classes = set(_subclasses(_Unary))
+    assert set(UNARY.values()) == classes
+    assert set(engine._UNARY_JETS) == classes
+    for name, cls in UNARY.items():
+        assert name in RESERVED
+        e = cls(Add([Var("x"), Const(1)]))
+        assert to_text(e) == f"{name}(x + 1)"
+        assert parse(to_text(e), ENV) == e
+
+
+def test_binders_bind_their_name_in_their_scope_only():
+    binders = {c for c in _subclasses(Expr) if c._binds}
+    assert binders == {Integral, RootOf, Let}
+    for cls in binders:
+        name_field, scope = cls._binds
+        assert name_field != scope
+        assert {name_field, scope} <= set(cls._fields)
+    # a name used outside the scope of a binder of the same name stays free
+    x = Var("x")
+    assert Integral("x", BasePoint("x"), x, x).free == {"x"}
+    assert Integral("x", BasePoint("x"), Var("t"), x).free == {"t"}
+    assert Let("x", x, x).free == {"x"}
+    assert Let("x", Var("t"), x).free == {"t"}
+    assert RootOf("x", Add([x, Var("t")]), 1.0).free == {"t"}

@@ -164,6 +164,42 @@ def test_driver_nonfinite_samples(K, case, monkeypatch):
         assert calls == []
 
 
+def test_dead_column_leaves_later_rounds():
+    # A Gaussian of width 0.1 at x = 0.5 over [0, 2] refines for 5 rounds.
+    # Column 1 also has a NaN at x = 1.5, the centre node of its round-1
+    # panel [1, 2], while its sibling panel [0, 1] still refines: the column
+    # is dead from then on and is evaluated no more.  Columns 0 and 2 come
+    # out as they do when nothing is poisoned
+    def run(poison):
+        calls = []
+
+        def evalfn(panels, cols):
+            calls.append(cols.copy())
+            xs = panels.nodes()
+            owner = np.repeat(cols, 15)
+            out = np.where(owner == 2, np.cos(xs),
+                           np.exp(-((xs - 0.5) / 0.1) ** 2))
+            if poison:
+                out[(owner == 1) & (xs == 1.5)] = np.nan
+            return out[None, :]
+
+        data = adaptive_gk_batched(evalfn, np.zeros(3), np.full(3, 2.0), 1,
+                                   CFG)
+        return data[0], calls
+
+    got, calls = run(True)
+    want, clean_calls = run(False)
+    assert np.isnan(got[1])
+    assert np.array_equal(_bits(got[[0, 2]]), _bits(want[[0, 2]]))
+    assert got[0] == pytest.approx(
+        0.05 * math.sqrt(math.pi) * (math.erf(5.0) + math.erf(15.0)),
+        rel=1e-9)
+    # round 1 evaluates the NaN; every later round leaves column 1 out
+    assert 1 in calls[1] and len(calls) > 2
+    assert all(1 not in c for c in calls[2:])
+    assert all(1 in c for c in clean_calls[2:])
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pdegensol.numeric import NumericConfig
-from pdegensol.numeric.rootfind import (BAD_SEED, NO_BRACKET, OK,
-                                        bracket_bisect_newton)
+from pdegensol.numeric.rootfind import (BAD_SEED, NO_BRACKET, NO_CONVERGE,
+                                        OK, bracket_bisect_newton)
 
 
 CFG = NumericConfig()
@@ -110,6 +110,30 @@ def test_batched_partial_failure_isolates_columns():
     assert np.allclose(roots[even], math.sqrt(2.0), atol=1e-10)
     assert not (status[~even] == OK).any()
     assert np.isnan(roots[~even]).all()
+
+
+def test_nan_at_a_bisection_midpoint_drops_that_column():
+    # every column solves z = 0.3 or 0.7 from seed 0.  Column 1 is NaN on
+    # (0.299, 0.301), which the bracket search steps over and bisection
+    # lands in: that column alone gives up, unsolved, and is evaluated no
+    # more; the others still converge
+    targets = np.array([0.3, 0.3, 0.7])
+    calls = []
+
+    def fval(zs, cols):
+        out = zs - targets[cols]
+        out[(cols == 1) & (np.abs(zs - 0.3) < 1e-3)] = np.nan
+        calls.append((cols.copy(), out.copy()))
+        return out
+
+    roots, status = bracket_bisect_newton(
+        fval, lambda zs, cols: np.ones_like(zs), np.zeros(3), CFG)
+    assert status.tolist() == [OK, NO_CONVERGE, OK]
+    assert np.isnan(roots[1])
+    assert np.allclose(roots[[0, 2]], [0.3, 0.7], atol=1e-12)
+    hit = next(i for i, (cols, out) in enumerate(calls)
+               if np.isnan(out[cols == 1]).any())
+    assert all(1 not in cols for cols, _ in calls[hit + 1:])
 
 
 def test_span_cap_respected():

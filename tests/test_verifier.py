@@ -182,6 +182,38 @@ def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
     assert all(0.0 < v < 2.0 for v in fp["point"].values())
 
 
+def test_crosscheck_deviation_alone_is_indeterminate(monkeypatch):
+    # residuals in tolerance, but jets that disagree with the difference
+    # quotients leave the evaluator suspect: no PASS
+    monkeypatch.setattr(verifier, "crosscheck_derivatives", lambda *a: 2e-4)
+    r = verify_family("3.1", n_scenarios=1, n_points=4, seed=1)
+    assert r.max_rel_residual <= r.tol_rel
+    assert r.verdict == "INDETERMINATE"
+    assert r.notes == ["residuals in tolerance but derivative cross-check "
+                       "deviates (2.00e-04 > 0.0001)"]
+
+
+def test_nonfinite_shifted_value_fails_the_crosscheck(monkeypatch):
+    # one difference-quotient sample outside the domain: the cross-check
+    # cannot agree, so its deviation is infinite (JSON null), never 0
+    real = verifier.solution_values
+
+    def hole(fam, scn, pts, cfg=CFG, **kw):
+        w = real(fam, scn, pts, cfg, **kw)
+        if cfg is verifier.XCHECK_CFG:
+            w[0] = np.nan
+        return w
+
+    monkeypatch.setattr(verifier, "solution_values", hole)
+    r = verify_family("3.1", n_scenarios=1, n_points=4, seed=1)
+    assert r.max_rel_residual <= r.tol_rel
+    assert r.xcheck_max_dev == float("inf")
+    assert r.verdict == "INDETERMINATE"
+    d = json.loads(r.to_json())
+    assert d["scenarios"][0]["xcheck_max_dev"] is None
+    assert d["xcheck_max_dev"] is None
+
+
 def test_registered_tolerances_clear_numeric_floor():
     # a residual excess is attributable to the solution only well above the
     # numeric floor (100x the quadrature tolerance), so a FAIL verdict
