@@ -60,6 +60,7 @@ class PdeFamily:
     base_names: tuple[str, ...] = field(init=False, repr=False)
     order: int = field(init=False)
     sol_depth: int = field(init=False)
+    has_roots: bool = field(init=False)
 
     def build(self) -> None:
         wnames = _collect_wnames(self.pde_text)
@@ -87,6 +88,8 @@ class PdeFamily:
         )
         self.base_names = _collect_base_names(self.solution)
         self.sol_depth = _integral_depth(self.solution)
+        self.has_roots = any(isinstance(n, RootOf)
+                             for n in walk(self.solution))
         self._check_symbols()
 
     def _check_symbols(self) -> None:
@@ -126,7 +129,7 @@ class PdeFamily:
             bits.append("nonconstant coefficients")
         elif self.parameters:
             bits.append("constant coefficients")
-        if any(isinstance(n, RootOf) for n in walk(self.solution)):
+        if self.has_roots:
             bits.append("solution uses implicit roots")
         if self.sol_depth:
             bits.append(f"integral nesting depth {self.sol_depth}")

@@ -75,7 +75,7 @@ _LEAF_SLICE = 32768
 
 # elementary function -> (its jet function, the context guard that function
 # takes, or None).  A guarded function's mask marks the columns outside its
-# domain; exp's marks the columns where a finite argument overflowed
+# domain
 _UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, "pos_guard"),
                X.Sqrt: (jb_sqrt, "pos_guard"), X.Sin: (jb_sin, None),
                X.Cos: (jb_cos, None), X.Tan: (jb_tan, "tan_guard")}
@@ -200,11 +200,27 @@ def _dummy_derivative(e, k: int) -> X.Expr:
     return ds[k]
 
 
+class _OverflowCount:
+    """numpy's overflow callback while eval_batch runs: counts the ufunc
+    calls that overflowed.  Threads share it, so a count that moved is only
+    a reason to look for overflowed columns, never a finding."""
+
+    n = 0
+
+    def __call__(self, err: str, flag: int) -> None:
+        self.n += 1
+
+
+_OVERFLOWS = _OverflowCount()
+
+
 def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int) -> JetBatch:
     """Evaluate e to a JetBatch of width ncols.  env binds variable names
     to jets of that width; parameters/functions/base points come from
-    ctx.scenario."""
-    return _ev(_interned(e), env, ctx, ncols, {})
+    ctx.scenario.  Meanwhile numpy reports every overflow to _OVERFLOWS
+    instead of warning or raising."""
+    with np.errstate(over="call", call=_OVERFLOWS):
+        return _ev(_interned(e), env, ctx, ncols, {})
 
 
 def _widen(jb: JetBatch, n: int) -> JetBatch:
@@ -281,24 +297,29 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
                 out += d
         return JetBatch(iset, out)
     if isinstance(e, X.Mul):
+        # the most frequent checked node, so checked inline.  The count
+        # also covers the factors' own evaluation, which is harmless: a
+        # column counts only where every factor is finite
+        seen = _OVERFLOWS.n
         acc = _ev(e.factors[0], env, ctx, n, memo)
         for f in e.factors[1:]:
             acc = jb_mul(acc, _ev(f, env, ctx, n, memo))
+        if _OVERFLOWS.n != seen:
+            _record_overflow(ctx, e, n, acc,
+                             map(memo.get, map(id, e.factors)))
         return acc
     if isinstance(e, X.Div):
         a = _ev(e.num, env, ctx, n, memo)
         b = _ev(e.den, env, ctx, n, memo)
-        out, bad = jb_div(a, b, ctx.den_guard)
-        ctx.record("domain", bad, e, n)
-        return out
+        return _checked(ctx, e, n, jb_div, a, b, ctx.den_guard)
     if isinstance(e, X.Pow):
         return _ev_pow(e, env, ctx, n, memo)
     if isinstance(e, X._Unary):
         jet, guard = _UNARY_JETS[e.__class__]
         a = _ev(e.arg, env, ctx, n, memo)
-        out, bad = jet(a) if guard is None else jet(a, getattr(ctx, guard))
-        ctx.record("domain" if guard else "overflow", bad, e, n)
-        return out
+        if guard is None:
+            return _checked(ctx, e, n, jet, a)
+        return _checked(ctx, e, n, jet, a, getattr(ctx, guard))
     if isinstance(e, X.FuncApp):
         return _ev_funcapp(e, env, ctx, n, memo)
     if isinstance(e, X.Integral):
@@ -314,26 +335,62 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     raise EvalError(f"cannot evaluate node {type(e).__name__}")
 
 
+def _checked(ctx: EvalContext, e: X.Expr, n: int, fn, *args) -> JetBatch:
+    """The jet of fn(*args) -> (jet, domain mask or None) at node e.  The
+    mask's columns are recorded as "domain", and the columns that fn turned
+    non-finite from finite jet arguments as "overflow".  That mask is only
+    computed when numpy reported an overflow meanwhile, so the common case
+    pays two reads of a counter.  (Callers pass fn and its arguments, not a
+    closure: a closure would turn the caller's locals into cells on every
+    node it evaluates.)"""
+    seen = _OVERFLOWS.n
+    out, bad = fn(*args)
+    if _OVERFLOWS.n != seen:
+        _record_overflow(ctx, e, n, out, args, bad)
+    ctx.record("domain", bad, e, n)
+    return out
+
+
+def _record_overflow(ctx: EvalContext, e: X.Expr, n: int, out: JetBatch,
+                     operands, bad=None) -> None:
+    """Record as "overflow" of e the columns of out that are not finite
+    although every jet among the operands is, leaving out those bad (e's
+    domain mask) marks."""
+    over = ~np.isfinite(out.data).all(axis=0)
+    for a in operands:
+        if isinstance(a, JetBatch):
+            over &= np.isfinite(a.data).all(axis=0)
+    if bad is not None:
+        over &= ~bad
+    if over.any():
+        ctx.record("overflow", over, e, n)
+
+
 def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     base = _ev(e.base, env, ctx, n, memo)
     nexp = X.int_exponent(e.exponent)
     if nexp is not None:
-        out, bad = jb_powi(base, nexp, ctx.den_guard)
-        ctx.record("domain", bad, e, n)
-        return out
+        return _checked(ctx, e, n, jb_powi, base, nexp, ctx.den_guard)
     ejb = _ev(e.exponent, env, ctx, n, memo)
     if base.n < ejb.n:
         base = _widen(base, ejb.n)
     if not ejb.data[1:].any():
         # constant exponent (per column): real power, positive base
-        out, bad = jb_powc(base, ejb.data[0], ctx.pos_guard)
-        ctx.record("domain", bad, e, n)
-        return out
+        return _checked(ctx, e, n, _powc, base, ejb, ctx.pos_guard)
     ln_b, bad = jb_ln(base, ctx.pos_guard)
     ctx.record("domain", bad, e, n)
-    out, over = jb_exp(jb_mul(ejb, ln_b))
-    ctx.record("overflow", over, e, n)
-    return out
+    return _checked(ctx, e, n, _exp_of_product, ejb, ln_b)
+
+
+# jet functions of the (jet, domain mask) shape _checked takes
+
+
+def _powc(base: JetBatch, exponent: JetBatch, guard: float):
+    return jb_powc(base, exponent.data[0], guard)
+
+
+def _exp_of_product(p: JetBatch, q: JetBatch):
+    return jb_exp(jb_mul(p, q))
 
 
 def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:

@@ -23,10 +23,11 @@ array (a ufunc result made for the call); a row that is a view, a
 broadcast or narrower is copied, so no result shares memory with an
 input.
 
-Each elementary function returns its jet and the mask of the columns it
-could not give a finite value, or None when there are none.  A guarded
-function poisons those columns with NaN; exp leaves its overflowed columns
-infinite.  Callers record the causes."""
+Each elementary function returns its jet and the mask of the columns
+outside its domain, or None when there are none (always None for exp, sin
+and cos).  A guarded function poisons those columns with NaN.  An
+overflowed column keeps its infinite values; callers detect overflow and
+record the causes."""
 
 from __future__ import annotations
 
@@ -411,22 +412,10 @@ def _compose1(a: JetBatch, phis: List[np.ndarray], bad: np.ndarray) -> Tuple[Jet
     return JetBatch(a.iset, out), None
 
 
-def jb_exp(a: JetBatch) -> Tuple[JetBatch, Optional[np.ndarray]]:
-    """exp(a), and the columns where a finite value overflowed (None when
-    there are none); they keep their infinite values."""
+def jb_exp(a: JetBatch) -> Tuple[JetBatch, None]:
     v = a.data[0]
-    over = None
-    try:
-        # exp raises the overflow flag for a finite argument only, so the
-        # common case pays for no mask
-        with np.errstate(over="raise"):
-            e = np.exp(v)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            e = np.exp(v)
-        over = np.isinf(e) & np.isfinite(v)
-    phis = [e] * (a.iset.max_order + 1)
-    return JetBatch(a.iset, a.iset.compose(phis, a.data)), over
+    phis = [np.exp(v)] * (a.iset.max_order + 1)
+    return JetBatch(a.iset, a.iset.compose(phis, a.data)), None
 
 
 def jb_ln(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:

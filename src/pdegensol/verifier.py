@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -110,12 +110,6 @@ class SamplingHints:
     params: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     funcs: Dict[str, FuncSpec] = field(default_factory=dict)
     admissible: Optional[Callable[[Dict[str, float]], bool]] = None
-
-
-DEFAULT_PARAM_RANGE = (0.3, 0.9)
-DEFAULT_FUNC = FuncSpec()
-# coefficient functions of two or more arguments stay gentle by default
-DEFAULT_FUNC_WIDE = FuncSpec(degree=1, coeff_scale=0.1, offset=(0.4, 0.8))
 
 
 def _mk_hints() -> Dict[str, SamplingHints]:
@@ -289,26 +283,26 @@ def draw_function(rng: np.random.Generator, name: str, arity: int,
     return polynomial(name, arity, cmap, **kw)
 
 
+def _points_env(fam: PdeFamily, iset: IndexSet, pts: np.ndarray) -> dict:
+    """Each variable of fam bound, over iset, to its column of `pts`."""
+    return {v: JetBatch.variable(iset, v, pts[:, i])
+            for i, v in enumerate(fam.variables)}
+
+
+def _draw_points(rng: np.random.Generator, fam: PdeFamily,
+                 n: int) -> np.ndarray:
+    """n sample points drawn uniformly from the sample box."""
+    return rng.uniform(*SAMPLE_BOX, size=(n, len(fam.variables)))
+
+
 def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
                     cfg: NumericConfig = CFG,
                     guard_scale: float = 1.0) -> np.ndarray:
     """Value-only evaluation of the solution at the rows of `pts`."""
     iset0 = IndexSet(fam.variables, {(0,) * len(fam.variables)})
-    env = {
-        v: JetBatch.variable(iset0, v, pts[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
     ctx = EvalContext(iset0, scn, cfg, guard_scale=guard_scale)
-    return eval_batch(fam.solution, env, ctx, len(pts)).value()
-
-
-def _prescan_ok(fam: PdeFamily, scn: Scenario) -> bool:
-    """Value-only evaluation with widened guards; rejects scenarios whose
-    points sit near a domain wall anywhere along the integration paths.
-    A failing point is a NaN column; an EvalError (a malformed tree, an
-    unbound name, the nesting limit) no redraw can fix, so it propagates."""
-    w = solution_values(fam, scn, scn.points, guard_scale=PRESCAN_GUARD)
-    return bool(np.isfinite(w).all())
+    return eval_batch(fam.solution, _points_env(fam, iset0, pts), ctx,
+                      len(pts)).value()
 
 
 def draw_scenario(
@@ -318,27 +312,29 @@ def draw_scenario(
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
 ) -> Scenario:
-    """Draw until the pre-scan accepts, or raise SamplingExhausted."""
+    """Draw until the pre-scan accepts, or raise SamplingExhausted.
+
+    The pre-scan is a value-only evaluation with widened guards; it rejects
+    scenarios whose points sit near a domain wall anywhere along the
+    integration paths.  A failing point is a NaN column; an EvalError (a
+    malformed tree, an unbound name, the nesting limit) no redraw can fix,
+    so it propagates."""
     h = HINTS.get(fam.family_id, SamplingHints())
     for attempt in range(1, MAX_DRAW_ATTEMPTS + 1):
-        params = {
-            p: float(rng.uniform(*h.params.get(p, DEFAULT_PARAM_RANGE)))
-            for p in fam.parameters
-        }
+        params = {p: float(rng.uniform(*h.params[p])) for p in fam.parameters}
         if param_overrides:
             params.update(param_overrides)
         if h.admissible is not None and not h.admissible(params):
             continue
-        funcs = {}
-        for name in sorted(fam.functions):
-            arity = fam.functions[name]
-            spec = h.funcs.get(
-                name, DEFAULT_FUNC if arity == 1 else DEFAULT_FUNC_WIDE)
-            funcs[name] = draw_function(rng, name, arity, spec)
+        funcs = {name: draw_function(rng, name, fam.functions[name],
+                                     h.funcs[name])
+                 for name in sorted(fam.functions)}
         bases = {b: base_shift for b in fam.base_names}
-        pts = rng.uniform(*SAMPLE_BOX, size=(n_points, len(fam.variables)))
-        scn = Scenario(params, funcs, bases, pts, sampling_attempts=attempt)
-        if _prescan_ok(fam, scn):
+        scn = Scenario(params, funcs, bases,
+                       _draw_points(rng, fam, n_points),
+                       sampling_attempts=attempt)
+        w = solution_values(fam, scn, scn.points, guard_scale=PRESCAN_GUARD)
+        if np.isfinite(w).all():
             return scn
     raise SamplingExhausted(
         f"family {fam.family_id}: no admissible scenario in "
@@ -359,22 +355,15 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     or any PDE term is not finite."""
     n = len(pts)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
-    env = {
-        v: JetBatch.variable(iset, v, pts[:, i].copy())
-        for i, v in enumerate(fam.variables)
-    }
     ctx = EvalContext(iset, scn, CFG)
     # poisoned columns propagate NaN through every jet op; silence the
     # resulting invalid/overflow chatter, the masks below dispose of them
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         jb = eval_batch(fam.solution if solution is None else solution,
-                        env, ctx, n)
+                        _points_env(fam, iset, pts), ctx, n)
 
         iset0 = iset.value_only()
-        env0 = {
-            v: JetBatch.constants(iset0, pts[:, i].copy())
-            for i, v in enumerate(fam.variables)
-        }
+        env0 = _points_env(fam, iset0, pts)
         for name, mi in fam.deriv_orders.items():
             env0[name] = JetBatch.constants(iset0, jb.data[iset.pos[mi]])
         ctx0 = EvalContext(iset0, scn, CFG)
@@ -390,11 +379,22 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     return rel, data, iset, {k for k, _ in ctx.causes}
 
 
-def _chunk_sizes(fam: PdeFamily, n: int) -> List[slice]:
-    # deeply nested solutions fan out under batched quadrature; evaluate
-    # their points in small groups to bound the working set
-    step = 5 if fam.sol_depth >= 4 else n
-    return [slice(i, min(i + step, n)) for i in range(0, n, max(step, 1))]
+# Nested quadrature fans out per column (~15^depth inner evaluations), so
+# the points of a deep solution go into the engine a batch at a time, the
+# batch size set by the solution's integral depth (capped at 5; a depth
+# without an entry takes all points in one batch).  At the cross-check's
+# tightened tolerances one 32-column batch of 4.4 (depth 5) takes a process
+# from about 50 MB to a 554 MB peak RSS.  The split is part of every output
+# bit: root seeds, the quadrature's panel cap and its sums all depend on
+# which columns share a call
+RESIDUAL_BATCH = {4: 5, 5: 5}
+XCHECK_BATCH = {3: 250, 4: 150, 5: 32}
+
+
+def _batches(fam: PdeFamily, pts: np.ndarray, table: Dict[int, int]):
+    """The rows of pts in consecutive batches of table's size for fam."""
+    step = table.get(min(fam.sol_depth, 5), len(pts))
+    return [pts[i:i + step] for i in range(0, len(pts), step)]
 
 
 def scenario_residuals(
@@ -409,19 +409,14 @@ def scenario_residuals(
     n = len(scn.points)
     rel = np.full(n, np.nan)
     data = None
-    iset = None
     todo = np.arange(n)
     resampled = 0
     for round_no in range(MAX_RESAMPLE_ROUNDS + 1):
-        pts = scn.points[todo]
-        parts_rel = []
-        parts_data = []
-        for sl in _chunk_sizes(fam, len(pts)):
-            r, d, iset, _ = _eval_rel(fam, scn, pts[sl])
-            parts_rel.append(r)
-            parts_data.append(d)
-        rel_t = np.concatenate(parts_rel)
-        data_t = np.concatenate(parts_data, axis=1)
+        parts = [_eval_rel(fam, scn, b)
+                 for b in _batches(fam, scn.points[todo], RESIDUAL_BATCH)]
+        rel_t = np.concatenate([p[0] for p in parts])
+        data_t = np.concatenate([p[1] for p in parts], axis=1)
+        iset = parts[0][2]
         if data is None:
             data = np.full((data_t.shape[0], n), np.nan)
         rel[todo] = rel_t
@@ -429,8 +424,7 @@ def scenario_residuals(
         bad = todo[~np.isfinite(rel_t)]
         if bad.size == 0 or round_no == MAX_RESAMPLE_ROUNDS:
             break
-        scn.points[bad] = rng.uniform(
-            *SAMPLE_BOX, size=(bad.size, len(fam.variables)))
+        scn.points[bad] = _draw_points(rng, fam, bad.size)
         resampled += int(bad.size)
         todo = bad
     return rel, data, iset, resampled
@@ -441,6 +435,7 @@ def scenario_residuals(
 
 # central rules per derivative order: (offsets, weights, h power)
 _FD_RULES = {
+    0: ((0,), (1.0,), 0),
     1: ((-1, 1), (-0.5, 0.5), 1),
     2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
     3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
@@ -450,26 +445,16 @@ _FD_RULES = {
 _FD_STEP = {1: 1e-4, 2: 2e-3, 3: 2.5e-2}
 
 
+@functools.cache
 def _stencil(alpha: Tuple[int, ...]):
-    """Product stencil for a mixed partial: offsets (per variable) and
-    weights, with the total h normalization power."""
-    per_var = []
-    power = 0
-    for o in alpha:
-        if o == 0:
-            per_var.append(((0,), (1.0,), 0))
-        else:
-            off, wts, pw = _FD_RULES[o]
-            per_var.append((off, wts, pw))
-            power += pw
-    combos = []
-    for picks in itertools.product(*(range(len(p[0])) for p in per_var)):
-        off = tuple(per_var[i][0][k] for i, k in enumerate(picks))
-        wt = 1.0
-        for i, k in enumerate(picks):
-            wt *= per_var[i][1][k]
-        combos.append((off, wt))
-    return combos, power
+    """Product stencil for a mixed partial: (offsets per variable, weight)
+    pairs, and the total h normalization power."""
+    rules = [_FD_RULES[o] for o in alpha]
+    combos = [(tuple(off for off, _ in picks),
+               math.prod((wt for _, wt in picks), start=1.0))
+              for picks in itertools.product(
+                  *(tuple(zip(off, wts)) for off, wts, _ in rules))]
+    return combos, sum(pw for _, _, pw in rules)
 
 
 def crosscheck_derivatives(
@@ -484,52 +469,26 @@ def crosscheck_derivatives(
     Deviation is scaled by max(1, |jet value|)."""
     alphas = sorted({mi for mi in fam.deriv_orders.values() if sum(mi) > 0})
     pts = scn.points[point_idx]
-    npts = len(pts)
-
-    cols = []
-    plan = []  # (alpha, stencil, h) in column order
-    for alpha in alphas:
-        combos, power = _stencil(alpha)
-        h0 = _FD_STEP[sum(alpha)]
-        for h in (h0, h0 / 2):
-            plan.append((alpha, combos, power, h))
-            for off, _ in combos:
-                shifted = pts + h * np.array(off, dtype=float)
-                cols.append(shifted)
-    allpts = np.concatenate(cols, axis=0)
-
-    # nested quadrature fans out per column (~15^depth inner evaluations),
-    # so cap the columns per batch for deep solutions or memory blows up;
-    # at the tightened tolerances one 32-column batch of 4.4 (depth 5)
-    # takes a process from about 50 MB to a 554 MB peak RSS
-    nall = len(allpts)
-    if fam.sol_depth >= 5:
-        maxcols = 32
-    elif fam.sol_depth == 4:
-        maxcols = 150
-    elif fam.sol_depth == 3:
-        maxcols = 250
-    else:
-        maxcols = nall
-    w = np.empty(nall)
-    for s in range(0, nall, max(maxcols, 1)):
-        sl = slice(s, min(s + maxcols, nall))
-        w[sl] = solution_values(fam, scn, allpts[sl], XCHECK_CFG)
+    # (alpha, h, stencil) in column order: each alpha at its step and half
+    plan = [(alpha, h, _stencil(alpha)) for alpha in alphas
+            for h in (_FD_STEP[sum(alpha)], _FD_STEP[sum(alpha)] / 2)]
+    allpts = np.concatenate([pts + h * np.array(off, dtype=float)
+                             for _, h, (combos, _) in plan
+                             for off, _ in combos], axis=0)
+    w = np.concatenate([solution_values(fam, scn, b, XCHECK_CFG)
+                        for b in _batches(fam, allpts, XCHECK_BATCH)])
     if not np.isfinite(w).all():
         return float("inf")
 
-    worst = 0.0
-    pos = 0
-    est: Dict[Tuple[Tuple[int, ...], float], np.ndarray] = {}
-    for alpha, combos, power, h in plan:
-        acc = np.zeros(npts)
+    shifted = iter(w.reshape(-1, len(pts)))
+    est = []
+    for _, h, (combos, power) in plan:
+        acc = np.zeros(len(pts))
         for _, wt in combos:
-            acc += wt * w[pos:pos + npts]
-            pos += npts
-        est[(alpha, h)] = acc / h ** power
-    for alpha in alphas:
-        h0 = _FD_STEP[sum(alpha)]
-        d_h, d_h2 = est[(alpha, h0)], est[(alpha, h0 / 2)]
+            acc += wt * next(shifted)
+        est.append(acc / h ** power)
+    worst = 0.0
+    for alpha, d_h, d_h2 in zip(alphas, est[::2], est[1::2]):
         fd = (4.0 * d_h2 - d_h) / 3.0
         jet = jet_data[iset.pos[alpha]][point_idx]
         dev = np.abs(fd - jet) / np.maximum(1.0, np.abs(jet))
@@ -551,10 +510,6 @@ def _negate_seeds(e: X.Expr) -> X.Expr:
 # one negated tree per solution: the engine caches nodes by identity, so a
 # tree built per probe would pin new cache entries on every call
 _negated_solution = functools.cache(_negate_seeds)
-
-
-def _has_rootof(e: X.Expr) -> bool:
-    return any(isinstance(n, X.RootOf) for n in X.walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -580,25 +535,14 @@ class VerificationReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "verdict": self.verdict,
-            "tol_rel": self.tol_rel,
-            "xcheck_tol": self.xcheck_tol,
-            "seed": self.seed,
-            "n_scenarios": self.n_scenarios,
-            "points_per_scenario": self.points_per_scenario,
-            "max_rel_residual": _jsonable(self.max_rel_residual),
-            "xcheck_max_dev": _jsonable(self.xcheck_max_dev),
-            "resampled_points": self.resampled_points,
-            "scenarios": self.scenarios,
-            "notes": list(self.notes),
-            "engine": self.engine,
-        }
+        d = asdict(self)
         # wall_time_s stays an attribute only: identical runs must produce
         # byte-identical reports
-        if self.branch_probe is not None:
-            d["branch_probe"] = self.branch_probe
+        del d["wall_time_s"]
+        if self.branch_probe is None:
+            del d["branch_probe"]
+        d["max_rel_residual"] = _jsonable(self.max_rel_residual)
+        d["xcheck_max_dev"] = _jsonable(self.xcheck_max_dev)
         return d
 
     def to_json(self) -> str:
@@ -631,6 +575,72 @@ def check_overrides(fam: PdeFamily,
             f"its parameters: {', '.join(fam.parameters) or 'none'}")
 
 
+def _xcheck_dev(row: dict) -> float:
+    """A row's cross-check deviation; JSON null (no finite value) is inf."""
+    dev = row["xcheck_max_dev"]
+    return math.inf if dev is None else dev
+
+
+def _verdict(rows: List[dict], tol: float) -> Tuple[str, Optional[str]]:
+    """The verdict of a report's scenario rows at residual tolerance tol,
+    and its note (None when the rows say it all).  It reads only each row's
+    status, max_rel_residual and xcheck_max_dev, so a report's JSON rows
+    give its verdict back.  The rules, in order: a row that is not "ok"
+    makes it INDETERMINATE; rows with a residual above tol make it FAIL
+    when the cross-check agrees on each of them, else INDETERMINATE; a
+    cross-check above XCHECK_TOL on any row makes it INDETERMINATE; else
+    PASS."""
+    if any(row["status"] != "ok" for row in rows):
+        return "INDETERMINATE", None
+    failing = [row for row in rows if row["max_rel_residual"] > tol]
+    if failing:
+        if all(_xcheck_dev(row) <= XCHECK_TOL for row in failing):
+            return "FAIL", None
+        return "INDETERMINATE", ("residual exceeded tolerance but the "
+                                 "derivative cross-check also disagreed; "
+                                 "evaluator suspect")
+    worst_dev = max(map(_xcheck_dev, rows))
+    if worst_dev > XCHECK_TOL:
+        return "INDETERMINATE", (
+            f"residuals in tolerance but derivative cross-check deviates "
+            f"({worst_dev:.2e} > {XCHECK_TOL:g})")
+    return "PASS", None
+
+
+def _scenario_row(fam: PdeFamily, idx: int, scn: Scenario,
+                  rng: np.random.Generator,
+                  tol: float) -> Tuple[dict, Optional[str]]:
+    """The report row of scenario idx, drawn as scn, and a note when some
+    point stayed unevaluable.  The cross-check visits the first points and,
+    when a residual exceeds tol, the worst-residual points too: the jets
+    must agree where the residual failed."""
+    rel, jet_data, iset, resampled = scenario_residuals(fam, scn, rng)
+    row = {"index": idx, "resampled_points": resampled}
+    bad = int(np.count_nonzero(~np.isfinite(rel)))
+    if bad:
+        row.update(status="eval_incomplete", parameters=scn.parameters)
+        return row, (f"scenario {idx}: {bad} point(s) unevaluable after "
+                     f"resampling")
+    mx = float(rel.max())
+    row.update(status="ok", max_rel_residual=mx,
+               sampling_attempts=scn.sampling_attempts,
+               parameters={k: float(v) for k, v in
+                           sorted(scn.parameters.items())})
+    k = min(XCHECK_POINTS, len(rel))
+    dev = crosscheck_derivatives(fam, scn, jet_data, iset, np.arange(k))
+    if mx > tol:
+        worst_pts = np.sort(np.argsort(-rel, kind="stable")[:k])
+        dev = max(dev, crosscheck_derivatives(fam, scn, jet_data, iset,
+                                              worst_pts))
+        row["failing_points"] = [
+            {"index": int(i),
+             "point": dict(zip(fam.variables, map(float, scn.points[i]))),
+             "rel_residual": float(rel[i])}
+            for i in np.flatnonzero(rel > tol)]
+    row["xcheck_max_dev"] = _jsonable(dev)
+    return row, None
+
+
 def verify_family(
     family,
     n_scenarios: int = 5,
@@ -641,11 +651,7 @@ def verify_family(
     probe_branches: bool = False,
 ) -> VerificationReport:
     """Verify one family over randomized scenarios at its registered
-    tolerance.
-
-    A FAIL verdict is only issued when the finite-difference cross-check
-    agrees with the jet derivatives in the failing scenario, at its first
-    and at its worst-residual points; anything murkier is INDETERMINATE."""
+    tolerance; the verdict is _verdict of the report's scenario rows."""
     for what, count in (("scenario", n_scenarios), ("point", n_points)):
         if count < 1:
             raise ValueError(f"{what} count must be at least 1, got {count}")
@@ -654,94 +660,31 @@ def verify_family(
     tol = FAMILY_TOL.get(fam.family_id, DEFAULT_TOL_REL)
 
     t0 = time.monotonic()
-    scen_rows: List[dict] = []
+    rows: List[dict] = []
     notes: List[str] = []
-    # per evaluated scenario: worst residual and worst cross-check deviation
-    rels: List[float] = []
-    devs: List[float] = []
-    resampled_total = 0
-    indeterminate = False
-    failing = False
-    fail_confirmed = True
     probe = None
-
     for idx in range(n_scenarios):
         rng = _scenario_rng(seed, fam.family_id, idx)
         try:
             scn = draw_scenario(fam, rng, n_points, base_shift,
                                 param_overrides)
         except SamplingExhausted as exc:
-            indeterminate = True
-            notes.append(str(exc))
-            scen_rows.append({"index": idx, "status": "sampling_exhausted"})
-            scn = None
-        if idx == 0 and probe_branches and _has_rootof(fam.solution):
+            scn, note = None, str(exc)
+            row = {"index": idx, "status": "sampling_exhausted"}
+        if idx == 0 and probe_branches and fam.has_roots:
             probe = _probe_alternate_branch(fam, scn, tol)
-        if scn is None:
-            continue
-        rel, jet_data, iset, resampled = scenario_residuals(fam, scn, rng)
-        resampled_total += resampled
-        ok = np.isfinite(rel)
-        if not ok.all():
-            indeterminate = True
-            notes.append(
-                f"scenario {idx}: {int((~ok).sum())} point(s) unevaluable "
-                f"after resampling")
-            scen_rows.append({"index": idx, "status": "eval_incomplete",
-                              "parameters": scn.parameters})
-            continue
-        mx = float(rel.max())
-        rels.append(mx)
+        if scn is not None:
+            row, note = _scenario_row(fam, idx, scn, rng, tol)
+        rows.append(row)
+        if note is not None:
+            notes.append(note)
 
-        k = min(XCHECK_POINTS, n_points)
-        dev = crosscheck_derivatives(fam, scn, jet_data, iset, np.arange(k))
-        row = {
-            "index": idx,
-            "status": "ok",
-            "max_rel_residual": _jsonable(mx),
-            "sampling_attempts": scn.sampling_attempts,
-            "resampled_points": resampled,
-            "parameters": {k2: float(v) for k2, v in
-                           sorted(scn.parameters.items())},
-        }
-        if mx > tol:
-            failing = True
-            # the jets must agree where the residual failed, too
-            worst_pts = np.sort(np.argsort(-rel, kind="stable")[:k])
-            dev_worst = crosscheck_derivatives(
-                fam, scn, jet_data, iset, worst_pts)
-            if not (dev <= XCHECK_TOL and dev_worst <= XCHECK_TOL):
-                fail_confirmed = False
-            dev = max(dev, dev_worst)
-            row["failing_points"] = [
-                {"index": int(i),
-                 "point": dict(zip(fam.variables, map(float, scn.points[i]))),
-                 "rel_residual": float(rel[i])}
-                for i in np.flatnonzero(rel > tol)]
-        devs.append(dev)
-        row["xcheck_max_dev"] = _jsonable(dev)
-        scen_rows.append(row)
-
+    verdict, note = _verdict(rows, tol)
+    if note is not None:
+        notes.append(note)
     # NaN (JSON null) when no scenario was evaluated
-    worst_dev = max(devs, default=float("nan"))
-    if indeterminate:
-        verdict = "INDETERMINATE"
-    elif failing and fail_confirmed:
-        verdict = "FAIL"
-    elif failing:
-        verdict = "INDETERMINATE"
-        notes.append(
-            "residual exceeded tolerance but the derivative "
-            "cross-check also disagreed; evaluator suspect")
-    elif worst_dev > XCHECK_TOL:
-        verdict = "INDETERMINATE"
-        notes.append(
-            f"residuals in tolerance but derivative cross-check deviates "
-            f"({worst_dev:.2e} > {XCHECK_TOL:g})")
-    else:
-        verdict = "PASS"
-
-    report = VerificationReport(
+    evaluated = [row for row in rows if row["status"] == "ok"]
+    return VerificationReport(
         family=fam.family_id,
         verdict=verdict,
         tol_rel=tol,
@@ -749,10 +692,11 @@ def verify_family(
         seed=seed,
         n_scenarios=n_scenarios,
         points_per_scenario=n_points,
-        max_rel_residual=max(rels, default=float("nan")),
-        xcheck_max_dev=worst_dev,
-        resampled_points=resampled_total,
-        scenarios=scen_rows,
+        max_rel_residual=max((row["max_rel_residual"] for row in evaluated),
+                             default=math.nan),
+        xcheck_max_dev=max(map(_xcheck_dev, evaluated), default=math.nan),
+        resampled_points=sum(row.get("resampled_points", 0) for row in rows),
+        scenarios=rows,
         notes=notes,
         engine={
             "version": __version__,
@@ -763,7 +707,6 @@ def verify_family(
         branch_probe=probe,
         wall_time_s=time.monotonic() - t0,
     )
-    return report
 
 
 def _probe_alternate_branch(fam, scn: Optional[Scenario], tol: float) -> dict:

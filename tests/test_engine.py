@@ -256,6 +256,18 @@ def test_batch_poison_is_per_column(scn_x):
     assert _kinds_and_counts(ctx) == [("domain", 1)]
 
 
+def test_overflow_and_domain_columns_are_told_apart(scn_x):
+    # in one power node, x = 0 is outside the domain and 1e-11^-30
+    # overflows: each column is counted once, under its own kind
+    e = parse("x^(-30)", Env(variables=("x",)))
+    iset = IndexSet(("x",), {(1,)})
+    env = {"x": JetBatch.variable(iset, "x", np.array([0.0, 1e-11, 2.0]))}
+    ctx = EvalContext(iset, scn_x)
+    jb = eval_batch(e, env, ctx, 3)
+    assert np.isfinite(jb.data[:, 2]).all()
+    assert sorted(_kinds_and_counts(ctx)) == [("domain", 1), ("overflow", 1)]
+
+
 # every non-finite column has a recorded cause.  The stand-ins fit the
 # parse tests' environment; the points cover [-3, 3]^2
 _CAUSE_SCN = StubScenario(
@@ -281,12 +293,23 @@ def _causes_of_nonfinite(text, k):
 @pytest.mark.parametrize("text, k", [
     (text, k) for text in ("exp(exp(exp(x)))",
                            "int(xi, base(p0), exp(exp(exp(x))), xi + 1)",
-                           "F(exp(exp(exp(x))))^2")
+                           "F(exp(exp(exp(x))))^2",
+                           "exp(exp(exp(x - 1.2)))^2",
+                           "exp(exp(x + 3))*exp(exp(x + 3))")
     for k in (0, 1)
-] + [("(x + 3)^(exp(exp(x)))", 1)])
+] + [("(x + 3)^(exp(exp(x)))", k) for k in (0, 1)]
+  + [("exp(exp(x + 1.5) - 14)^((x + 4)*exp(704))", 1),
+     ("exp(exp(x + 3.56))", 1)]
+  + [("exp(exp(x + 3.55))/exp(-5*x)", k) for k in (0, 1)])
 def test_overflow_is_a_cause(text, k):
     # exp of a finite argument overflows at x = 3.  The power has a
-    # variable exponent at K=4 only, which it evaluates as exp(p ln b)
+    # variable exponent at K=5 only, which it evaluates as exp(p ln b); at
+    # K=1 it is a real power of finite values that overflows.  The integer
+    # power and the product overflow from finite factors: exp(exp(exp(1.8)))
+    # and exp(exp(6)) are finite.  In the last power, p ln b overflows
+    # from finite p and ln b at x = 3, and is negative at every other point.
+    # exp(exp(6.56)) is finite, its x-derivative is not; and the quotient
+    # overflows from a finite numerator and denominator
     finite, causes = _causes_of_nonfinite(text, k)
     assert not finite.all()
     assert "overflow" in {kind for kind, _node in causes}

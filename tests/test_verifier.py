@@ -4,6 +4,7 @@ These use few scenarios and points; the acceptance suite runs the full
 production settings.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import pdegensol.verifier as verifier
-from pdegensol.catalog import _build_family, _parse_records, get_family
+from pdegensol.catalog import (_build_family, _parse_records, family_ids,
+                               get_family)
 from pdegensol.numeric import NestLimitExceeded, SamplingExhausted
 from pdegensol.numeric import engine
 from pdegensol.verifier import (
@@ -20,11 +22,11 @@ from pdegensol.verifier import (
     FAMILY_TOL,
     HINTS,
     FuncSpec,
-    SamplingHints,
     Scenario,
     VerificationReport,
     _negate_seeds,
     _probe_alternate_branch,
+    _verdict,
     crosscheck_derivatives,
     draw_function,
     draw_scenario,
@@ -59,7 +61,7 @@ def test_draw_scenario_respects_hints():
 def test_draw_scenario_exhaustion(monkeypatch):
     fam = get_family("3.1")
     rng = np.random.default_rng(0)
-    impossible = SamplingHints(admissible=lambda p: False)
+    impossible = dataclasses.replace(HINTS["3.1"], admissible=lambda p: False)
     monkeypatch.setitem(HINTS, "3.1", impossible)
     with pytest.raises(SamplingExhausted):
         draw_scenario(fam, rng, 4)
@@ -109,6 +111,47 @@ def test_crosscheck_catches_wrong_jet():
     assert dev2 > 0.05
 
 
+def assert_verdict_recomputes(r):
+    """_verdict on the report's JSON rows gives its verdict and its verdict
+    note, the note after one note per row that was not evaluated."""
+    rows = json.loads(r.to_json())["scenarios"]
+    verdict, note = _verdict(rows, r.tol_rel)
+    assert verdict == r.verdict
+    n_row_notes = sum(row["status"] != "ok" for row in rows)
+    assert r.notes[n_row_notes:] == ([] if note is None else [note])
+
+
+def _row(rel, dev, status="ok"):
+    return {"status": status, "max_rel_residual": rel, "xcheck_max_dev": dev}
+
+
+_SUSPECT = ("residual exceeded tolerance but the derivative cross-check "
+            "also disagreed; evaluator suspect")
+
+
+@pytest.mark.parametrize("rows, verdict, note", [
+    ([_row(1e-9, 1e-6), {"index": 1, "status": "sampling_exhausted"}],
+     "INDETERMINATE", None),
+    ([_row(1e-9, 1e-6), {"status": "eval_incomplete"}],
+     "INDETERMINATE", None),
+    ([_row(1e-9, 1e-6), _row(0.3, 1e-4)], "FAIL", None),
+    ([_row(0.3, 1e-6), _row(0.3, 2e-4)], "INDETERMINATE", _SUSPECT),
+    # a null (non-finite) deviation on a failing row never confirms it
+    ([_row(0.3, None), _row(1e-9, 1e-6)], "INDETERMINATE", _SUSPECT),
+    # a deviating row that passes does not stop the failing one's FAIL
+    ([_row(0.3, 1e-6), _row(1e-9, 2e-4)], "FAIL", None),
+    ([_row(1e-9, 1e-6), _row(1e-6, 2e-4)], "INDETERMINATE",
+     "residuals in tolerance but derivative cross-check deviates "
+     "(2.00e-04 > 0.0001)"),
+    ([_row(1e-9, None)], "INDETERMINATE",
+     "residuals in tolerance but derivative cross-check deviates "
+     "(inf > 0.0001)"),
+    ([_row(1e-9, 1e-6), _row(1e-6, 1e-4)], "PASS", None),
+])
+def test_verdict_rules(rows, verdict, note):
+    assert _verdict(rows, DEFAULT_TOL_REL) == (verdict, note)
+
+
 def test_verify_family_pass_and_report_shape():
     r = verify_family("3.6", n_scenarios=2, n_points=6, seed=5)
     assert r.verdict == "PASS"
@@ -119,6 +162,7 @@ def test_verify_family_pass_and_report_shape():
     assert all(s["status"] == "ok" for s in d["scenarios"])
     assert "wall_time_s" not in json.loads(r.to_json())
     assert r.wall_time_s > 0
+    assert_verdict_recomputes(r)
 
 
 def test_verify_family_accepts_family_object():
@@ -136,22 +180,27 @@ def test_verify_json_deterministic():
     assert a != c
 
 
-def test_wrong_solution_fails_with_confirmed_crosscheck():
-    # verify a family whose stored solution we break on purpose: clone the
-    # family record with a perturbed solution text
+@pytest.mark.parametrize("fid", family_ids())
+def test_wrong_solution_fails_with_confirmed_crosscheck(fid):
+    # verify each family with its stored solution broken on purpose: clone
+    # the family record with v^2/50 added, v its last variable (3.7 and
+    # 4.4, the slowest, at 2 points)
     import copy
 
-    fam = copy.copy(get_family("3.1"))
+    fam = copy.copy(get_family(fid))
     from pdegensol.expr_core import Env, parse
 
     env = Env(variables=fam.variables, parameters=fam.parameters,
               functions=fam.functions)
-    fam.solution = parse(f"({fam.sol_text}) + x^2/50", env)
-    r = verify_family(fam, n_scenarios=2, n_points=6, seed=1)
+    fam.solution = parse(f"({fam.sol_text}) + {fam.variables[-1]}^2/50",
+                         env)
+    n_points = 2 if fid in ("3.7", "4.4") else 6
+    r = verify_family(fam, n_scenarios=1, n_points=n_points, seed=1)
     assert r.verdict == "FAIL"
     assert r.max_rel_residual > 1e-4
     # cross-check still fine: the jet evaluator is not at fault
     assert r.xcheck_max_dev <= r.xcheck_tol
+    assert_verdict_recomputes(r)
 
 
 def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
@@ -180,6 +229,7 @@ def test_fail_needs_crosscheck_at_the_failing_point(monkeypatch):
     assert fp["index"] == 3 and fp["rel_residual"] == 0.5
     assert list(fp["point"]) == list(get_family("3.1").variables)
     assert all(0.0 < v < 2.0 for v in fp["point"].values())
+    assert_verdict_recomputes(r)
 
 
 def test_crosscheck_deviation_alone_is_indeterminate(monkeypatch):
@@ -253,8 +303,8 @@ def _unevaluable(real):
 @pytest.mark.parametrize("how", ["sampling_exhausted", "eval_incomplete"])
 def test_no_evaluated_scenario_reports_no_numbers(monkeypatch, how):
     if how == "sampling_exhausted":
-        monkeypatch.setitem(HINTS, "3.1",
-                            SamplingHints(admissible=lambda p: False))
+        monkeypatch.setitem(HINTS, "3.1", dataclasses.replace(
+            HINTS["3.1"], admissible=lambda p: False))
     else:
         monkeypatch.setattr(verifier, "_eval_rel",
                             _unevaluable(verifier._eval_rel))
@@ -264,6 +314,13 @@ def test_no_evaluated_scenario_reports_no_numbers(monkeypatch, how):
     assert np.isnan(r.max_rel_residual) and np.isnan(r.xcheck_max_dev)
     d = json.loads(r.to_json())
     assert d["max_rel_residual"] is None and d["xcheck_max_dev"] is None
+    # every evaluated row says what it resampled: all 3 points in each of
+    # the 8 rounds; the report's count is the rows' sum
+    resampled = [row.get("resampled_points") for row in d["scenarios"]]
+    assert resampled == ([24, 24] if how == "eval_incomplete"
+                         else [None, None])
+    assert d["resampled_points"] == (48 if how == "eval_incomplete" else 0)
+    assert_verdict_recomputes(r)
 
 
 def test_base_shift_scenarios_pass():
@@ -372,6 +429,12 @@ def test_probed_runs_pin_no_new_engine_nodes():
 def test_family_tolerances_registered():
     assert FAMILY_TOL["3.7"] == 1e-5
     assert FAMILY_TOL["3.8"] == 1e-5
+    # every family's hints name exactly its parameters and its functions:
+    # no draw falls back to a default range
+    for fid in family_ids():
+        fam, h = get_family(fid), HINTS[fid]
+        assert set(h.params) == set(fam.parameters), fid
+        assert set(h.funcs) == set(fam.functions), fid
     assert set(HINTS) == set(
         f"{a}.{b}" for a, b in [
             (3, i) for i in range(1, 12)
