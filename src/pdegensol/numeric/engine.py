@@ -39,11 +39,12 @@ them leave every output bit as it was:
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
 sub-context of the evaluation adds to, so a sliced integrand counts what
-one whole-batch call would.  Module constants hold the engine's own
-limits: the poison guards DEN_GUARD, POS_GUARD and TAN_GUARD (scaled by a
-context's guard_scale), DEGENERATE_TOL for solved roots, and NEST_LIMIT,
-which caps quadrature nesting with an error rather than a poisoned
-column."""
+one whole-batch call would.  Every arithmetic node is evaluated through
+one table, _ARITH, and has its causes checked in one place, _ev_node.
+Module constants hold the engine's own limits: the poison guards
+DEN_GUARD, POS_GUARD and TAN_GUARD (scaled by a context's guard_scale),
+DEGENERATE_TOL for solved roots, and NEST_LIMIT, which caps quadrature
+nesting with an error rather than a poisoned column."""
 
 from __future__ import annotations
 
@@ -129,9 +130,7 @@ class EvalContext:
     def record(self, kind: str, mask, node, width: int = 0) -> None:
         """Count the masked columns of node as poisoned by kind.  A mask
         narrower than width comes from width-1 operands and stands for all
-        width columns.  A mask of None records nothing."""
-        if mask is None:
-            return
+        width columns."""
         n = int(np.count_nonzero(mask))
         if mask.size < width:
             n *= width
@@ -266,7 +265,17 @@ def _const(ctx: EvalContext, n: int, value) -> JetBatch:
 
 
 def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
-    iset = ctx.iset
+    arith = _ARITH.get(e.__class__)
+    if arith is not None:
+        # the count also moves for an overflow among the operands, which
+        # is harmless: a column counts only where every operand is finite
+        seen = _OVERFLOWS.n
+        out, bad = arith(e, env, ctx, n, memo)
+        if _OVERFLOWS.n != seen:
+            _record_overflow(ctx, e, n, out, memo, bad)
+        if bad is not None:
+            ctx.record("domain", bad, e, n)
+        return out
     if isinstance(e, X.Const):
         return _const(ctx, n, e.value)
     if isinstance(e, X.Var):
@@ -284,44 +293,6 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
             return _const(ctx, n, ctx.scenario.base_points[e.name])
         except KeyError:
             raise EvalError(f"base point for {e.name!r} not in scenario") from None
-    if isinstance(e, X.Neg):
-        a = _ev(e.arg, env, ctx, n, memo)
-        return JetBatch(iset, -a.data)
-    if isinstance(e, X.Add):
-        out = _ev(e.terms[0], env, ctx, n, memo).data.copy()
-        for t in e.terms[1:]:
-            d = _ev(t, env, ctx, n, memo).data
-            if d.shape[1] > out.shape[1]:
-                out = out + d
-            else:
-                out += d
-        return JetBatch(iset, out)
-    if isinstance(e, X.Mul):
-        # the most frequent checked node, so checked inline.  The count
-        # also covers the factors' own evaluation, which is harmless: a
-        # column counts only where every factor is finite
-        seen = _OVERFLOWS.n
-        acc = _ev(e.factors[0], env, ctx, n, memo)
-        for f in e.factors[1:]:
-            acc = jb_mul(acc, _ev(f, env, ctx, n, memo))
-        if _OVERFLOWS.n != seen:
-            _record_overflow(ctx, e, n, acc,
-                             map(memo.get, map(id, e.factors)))
-        return acc
-    if isinstance(e, X.Div):
-        a = _ev(e.num, env, ctx, n, memo)
-        b = _ev(e.den, env, ctx, n, memo)
-        return _checked(ctx, e, n, jb_div, a, b, ctx.den_guard)
-    if isinstance(e, X.Pow):
-        return _ev_pow(e, env, ctx, n, memo)
-    if isinstance(e, X._Unary):
-        jet, guard = _UNARY_JETS[e.__class__]
-        a = _ev(e.arg, env, ctx, n, memo)
-        if guard is None:
-            return _checked(ctx, e, n, jet, a)
-        return _checked(ctx, e, n, jet, a, getattr(ctx, guard))
-    if isinstance(e, X.FuncApp):
-        return _ev_funcapp(e, env, ctx, n, memo)
     if isinstance(e, X.Integral):
         return _ev_integral(e, env, ctx, n, memo)
     if isinstance(e, X.RootOf):
@@ -335,30 +306,15 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     raise EvalError(f"cannot evaluate node {type(e).__name__}")
 
 
-def _checked(ctx: EvalContext, e: X.Expr, n: int, fn, *args) -> JetBatch:
-    """The jet of fn(*args) -> (jet, domain mask or None) at node e.  The
-    mask's columns are recorded as "domain", and the columns that fn turned
-    non-finite from finite jet arguments as "overflow".  That mask is only
-    computed when numpy reported an overflow meanwhile, so the common case
-    pays two reads of a counter.  (Callers pass fn and its arguments, not a
-    closure: a closure would turn the caller's locals into cells on every
-    node it evaluates.)"""
-    seen = _OVERFLOWS.n
-    out, bad = fn(*args)
-    if _OVERFLOWS.n != seen:
-        _record_overflow(ctx, e, n, out, args, bad)
-    ctx.record("domain", bad, e, n)
-    return out
-
-
 def _record_overflow(ctx: EvalContext, e: X.Expr, n: int, out: JetBatch,
-                     operands, bad=None) -> None:
+                     memo: dict, bad) -> None:
     """Record as "overflow" of e the columns of out that are not finite
-    although every jet among the operands is, leaving out those bad (e's
-    domain mask) marks."""
+    although every evaluated operand of e (its children in memo) is,
+    leaving out those bad (e's domain mask) marks."""
     over = ~np.isfinite(out.data).all(axis=0)
-    for a in operands:
-        if isinstance(a, JetBatch):
+    for c in e.children():
+        a = memo.get(id(c))
+        if a is not None:
             over &= np.isfinite(a.data).all(axis=0)
     if bad is not None:
         over &= ~bad
@@ -366,34 +322,55 @@ def _record_overflow(ctx: EvalContext, e: X.Expr, n: int, out: JetBatch,
         ctx.record("overflow", over, e, n)
 
 
-def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
+def _ev_neg(e: X.Neg, env, ctx: EvalContext, n: int, memo: dict):
+    return JetBatch(ctx.iset, -_ev(e.arg, env, ctx, n, memo).data), None
+
+
+def _ev_add(e: X.Add, env, ctx: EvalContext, n: int, memo: dict):
+    out = _ev(e.terms[0], env, ctx, n, memo).data.copy()
+    for t in e.terms[1:]:
+        d = _ev(t, env, ctx, n, memo).data
+        if d.shape[1] > out.shape[1]:
+            out = out + d
+        else:
+            out += d
+    return JetBatch(ctx.iset, out), None
+
+
+def _ev_mul(e: X.Mul, env, ctx: EvalContext, n: int, memo: dict):
+    acc = _ev(e.factors[0], env, ctx, n, memo)
+    for f in e.factors[1:]:
+        acc = jb_mul(acc, _ev(f, env, ctx, n, memo))
+    return acc, None
+
+
+def _ev_div(e: X.Div, env, ctx: EvalContext, n: int, memo: dict):
+    a = _ev(e.num, env, ctx, n, memo)
+    return jb_div(a, _ev(e.den, env, ctx, n, memo), ctx.den_guard)
+
+
+def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict):
     base = _ev(e.base, env, ctx, n, memo)
     nexp = X.int_exponent(e.exponent)
     if nexp is not None:
-        return _checked(ctx, e, n, jb_powi, base, nexp, ctx.den_guard)
+        return jb_powi(base, nexp, ctx.den_guard)
     ejb = _ev(e.exponent, env, ctx, n, memo)
     if base.n < ejb.n:
         base = _widen(base, ejb.n)
     if not ejb.data[1:].any():
         # constant exponent (per column): real power, positive base
-        return _checked(ctx, e, n, _powc, base, ejb, ctx.pos_guard)
+        return jb_powc(base, ejb.data[0], ctx.pos_guard)
     ln_b, bad = jb_ln(base, ctx.pos_guard)
-    ctx.record("domain", bad, e, n)
-    return _checked(ctx, e, n, _exp_of_product, ejb, ln_b)
+    return jb_exp(jb_mul(ejb, ln_b))[0], bad
 
 
-# jet functions of the (jet, domain mask) shape _checked takes
+def _ev_unary(e: X._Unary, env, ctx: EvalContext, n: int, memo: dict):
+    jet, guard = _UNARY_JETS[e.__class__]
+    a = _ev(e.arg, env, ctx, n, memo)
+    return jet(a) if guard is None else jet(a, getattr(ctx, guard))
 
 
-def _powc(base: JetBatch, exponent: JetBatch, guard: float):
-    return jb_powc(base, exponent.data[0], guard)
-
-
-def _exp_of_product(p: JetBatch, q: JetBatch):
-    return jb_exp(jb_mul(p, q))
-
-
-def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
+def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict):
     try:
         inst = ctx.scenario.functions[e.name]
     except KeyError:
@@ -409,7 +386,15 @@ def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict) -> JetB
         # derivative; chain() only reads f_at
         f_at[gamma] = f if f.size == n else np.broadcast_to(f, (n,))
     data = ctx.iset.chain(f_at, [a.data for a in args])
-    return JetBatch(ctx.iset, data)
+    return JetBatch(ctx.iset, data), None
+
+
+# arithmetic node class -> its function, which evaluates the operands and
+# returns (jet, domain mask or None); _ev_node records the causes.  Plain
+# functions: a closure would turn the caller's locals into cells per node
+_ARITH = {X.Neg: _ev_neg, X.Add: _ev_add, X.Mul: _ev_mul, X.Div: _ev_div,
+          X.Pow: _ev_pow, X.FuncApp: _ev_funcapp,
+          **{cls: _ev_unary for cls in _UNARY_JETS}}
 
 
 def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:

@@ -11,7 +11,7 @@ class EvalError(Exception):
 
 
 class NestLimitExceeded(EvalError):
-    """Quadrature nesting exceeded the configured structural limit."""
+    """Quadrature nesting exceeded the structural limit engine.NEST_LIMIT."""
 
 
 class SamplingExhausted(EvalError):

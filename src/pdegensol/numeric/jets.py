@@ -484,9 +484,12 @@ def jb_tan(a: JetBatch, guard: float) -> Tuple[JetBatch, Optional[np.ndarray]]:
     safe = np.where(bad, 0.0, v)
     T = np.tan(safe)
     T2 = T * T
-    phis = [T, 1 + T2]
-    if a.iset.max_order >= 2:
-        phis.append(2 * T * (1 + T2))
-    if a.iset.max_order >= 3:
-        phis.append((1 + T2) * (2 + 6 * T2))
+    phis = [T, 1 + T2, 2 * T * (1 + T2), (1 + T2) * (2 + 6 * T2)]
+    # above third order, tan^(r) = P_r(T) with P_{r+1} = P_r' (1 + T^2);
+    # c holds P_r's coefficients, lowest degree first, from P_3
+    c = [2.0, 0.0, 8.0, 0.0, 6.0]
+    while len(phis) <= a.iset.max_order:
+        d = [k * ck for k, ck in enumerate(c)][1:] + [0.0, 0.0]
+        c = [d[k] + (d[k - 2] if k >= 2 else 0.0) for k in range(len(d))]
+        phis.append(np.polyval(c[::-1], T))
     return _compose1(a, phis, bad)

@@ -177,6 +177,7 @@ def adaptive_gk_batched(
     cols, ia, ib = np.arange(N), a0, b0
     if not live.all():
         cols, ia, ib = cols[live], ia[live], ib[live]
+        dead[np.isnan(L)] = True  # a NaN limit poisons its column
 
     per_col = np.zeros(N, dtype=np.int64)
     panels_total = 0

@@ -8,7 +8,8 @@ They time the kernels of the integrand and root-body hot loop on fixed
 inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
 leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
 of 4.4's innermost integral over about 1e6 nodes, one driver round of
-1.8e6 panels with a trivial integrand, and one batch of 3.7's root body.
+1.8e6 panels with a trivial integrand, one batch of 3.7's root body, and
+one evaluation of 5.2's solution jets on 20 points.
 """
 
 import numpy as np
@@ -146,3 +147,22 @@ def test_root_body_batch(benchmark, monkeypatch):
     zs = rs.uniform(0.5, 1.5, cols)
     out = benchmark(fvals[0], zs, np.arange(cols))
     assert out.shape == (cols,) and np.isfinite(out).all()
+
+
+def test_solution_jets_52(benchmark):
+    # 5.2's solution at its own K=8 index set on 20 points, in a fresh
+    # context per call: the operation behind the heavy workload's median,
+    # where the engine's per-node dispatch is a visible share of the time
+    fam = get_family("5.2")
+    scn = draw_scenario(fam, _scenario_rng(1, "5.2", 0), 20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    n = len(scn.points)
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+
+    def run():
+        return eval_batch(fam.solution, env, EvalContext(iset, scn, CFG), n)
+
+    out = benchmark(run)
+    assert iset.K == 8 and out.data.shape == (8, n)
+    assert np.isfinite(out.data).all()

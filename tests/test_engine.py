@@ -7,6 +7,7 @@ values, which exercises a fully independent route (value evaluation plus
 difference quotients vs jet algebra).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from pdegensol import expr_core as X
-from pdegensol.catalog import get_family
+from pdegensol.catalog import family_ids, get_family
 from pdegensol.expr_core import Env, parse
 from pdegensol.numeric import (
     EvalContext,
@@ -200,9 +201,13 @@ def test_let_evaluation(scn_tx):
 
 
 def test_domain_error_raises_typed(scn_x):
-    # the column is poisoned and the cause kind is recorded; nothing raises
+    # the column is poisoned and the cause kind is recorded; nothing raises.
+    # An integral with a NaN limit is NaN in every row, not a zero-length
+    # integral
     for text, orders in [("ln(x - 2)", [(1,)]), ("sqrt(-x)", [(1,)]),
-                         ("1/(x - 1/2)", [(0,)])]:
+                         ("1/(x - 1/2)", [(0,)]),
+                         ("int(xi, base(p0), sqrt(-x), xi + 1)", [(0,)]),
+                         ("int(xi, base(p0), sqrt(-x), xi + 1)", [(1,)])]:
         j = _jet(text, {"x": 0.5}, scn_x, orders)
         assert np.isnan(j.data).all()
         assert j.kinds == ["domain"]
@@ -295,7 +300,9 @@ def _causes_of_nonfinite(text, k):
                            "int(xi, base(p0), exp(exp(exp(x))), xi + 1)",
                            "F(exp(exp(exp(x))))^2",
                            "exp(exp(exp(x - 1.2)))^2",
-                           "exp(exp(x + 3))*exp(exp(x + 3))")
+                           "exp(exp(x + 3))*exp(exp(x + 3))",
+                           "exp(x + 706.5) + exp(x + 706.4)",
+                           "F(exp(x + 354))")
     for k in (0, 1)
 ] + [("(x + 3)^(exp(exp(x)))", k) for k in (0, 1)]
   + [("exp(exp(x + 1.5) - 14)^((x + 4)*exp(704))", 1),
@@ -309,7 +316,9 @@ def test_overflow_is_a_cause(text, k):
     # and exp(exp(6)) are finite.  In the last power, p ln b overflows
     # from finite p and ln b at x = 3, and is negative at every other point.
     # exp(exp(6.56)) is finite, its x-derivative is not; and the quotient
-    # overflows from a finite numerator and denominator
+    # overflows from a finite numerator and denominator.  The sum overflows
+    # from two finite terms at x = 3, and F, a quadratic, from a finite
+    # argument
     finite, causes = _causes_of_nonfinite(text, k)
     assert not finite.all()
     assert "overflow" in {kind for kind, _node in causes}
@@ -321,6 +330,32 @@ def test_no_nonfinite_column_without_a_cause(text):
     for k in (0, 1):
         finite, causes = _causes_of_nonfinite(text, k)
         assert finite.all() or causes
+
+
+# catalog trees on a grid that reaches outside the sample box onto domain
+# walls (negative and zero coordinates, x = 3); the four costliest families
+# take every fifth point.  Points further out cost minutes
+_WALL_GRID = (-0.6, 0.0, 0.7, 1.9, 3.0)
+
+
+@pytest.mark.parametrize("fid", family_ids())
+def test_catalog_nonfinite_columns_have_causes(fid):
+    fam, scn = _draw(fid)
+    pts = np.array(list(itertools.product(_WALL_GRID,
+                                          repeat=len(fam.variables))))
+    if fid in ("3.7", "3.8", "4.3", "4.4"):
+        pts = pts[::5]
+    full = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    for iset in (full.value_only(), full):
+        env = {v: JetBatch.variable(iset, v, pts[:, i].copy())
+               for i, v in enumerate(fam.variables)}
+        ctx = EvalContext(iset, scn, CFG)
+        with np.errstate(all="ignore"):
+            jb = eval_batch(fam.solution, env, ctx, len(pts))
+        nonfinite = int((~np.isfinite(jb.data).all(axis=0)).sum())
+        # each poisoned column is counted at least once, at the node that
+        # poisoned it
+        assert sum(ctx.causes.values()) >= nonfinite
 
 
 def test_params_and_functions_resolve(scn_tx):

@@ -20,6 +20,7 @@ from pdegensol.expr_core import (
     Let,
     Mul,
     Neg,
+    Param,
     ParseError,
     Pow,
     RootOf,
@@ -258,6 +259,15 @@ def test_elementary_functions_are_declared_once():
         e = cls(Add([Var("x"), Const(1)]))
         assert to_text(e) == f"{name}(x + 1)"
         assert parse(to_text(e), ENV) == e
+
+
+def test_every_node_kind_is_arithmetic_or_leaf_or_binder():
+    # the engine evaluates every arithmetic node through one table, and so
+    # checks its causes in one place; only leaves and binders stay outside
+    concrete = set(_subclasses(Expr)) - {_Unary}
+    others = {Const, Var, Param, BasePoint, Integral, RootOf, Let}
+    assert set(engine._ARITH).isdisjoint(others)
+    assert set(engine._ARITH) | others == concrete
 
 
 def test_binders_bind_their_name_in_their_scope_only():

@@ -312,3 +312,20 @@ def test_compose_table_third_order_one_variable():
     u1, u2, u3 = (iset.pos[(k,)] for k in (1, 2, 3))
     assert got == sorted([(1, (u3,)), (2, (u1, u2)), (2, (u1, u2)),
                           (2, (u1, u2)), (3, (u1, u1, u1))])
+
+
+def test_tan_jet_above_third_order():
+    # d^4 tan = 8 T (1 + T^2)(2 + 3 T^2) and
+    # d^5 tan = 8 (1 + T^2)(2 + 15 T^2 + 15 T^4), T = tan(x)        [DERIVED]
+    iset = IndexSet(("x",), {(5,)})
+    xs = np.array([-1.2, 0.3, 0.9, 2.5])
+    out, bad = jb_tan(JetBatch.variable(iset, "x", xs), 1e-8)
+    T = np.tan(xs)
+    T2 = T * T
+    assert bad is None
+    assert np.allclose(out.data[iset.pos[(3,)]], (1 + T2) * (2 + 6 * T2),
+                       rtol=1e-13)
+    assert np.allclose(out.data[iset.pos[(4,)]], 8 * T * (1 + T2) * (2 + 3 * T2),
+                       rtol=1e-13)
+    assert np.allclose(out.data[iset.pos[(5,)]],
+                       8 * (1 + T2) * (2 + 15 * T2 + 15 * T2 * T2), rtol=1e-13)
