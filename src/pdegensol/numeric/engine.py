@@ -7,7 +7,7 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Three things bound the work and the working set of that loop, and all of
+Four things bound the work and the working set of that loop, and all of
 them leave every output bit as it was:
 
 * Equal subtrees are evaluated once.  Every tree the engine evaluates (the
@@ -35,6 +35,14 @@ them leave every output bit as it was:
   the row sums of the inner quadrature and the seeds of an implicit root
   both depend on how many columns share a call, so slicing them would
   move output bits.
+* A root's column constants are evaluated once per column set.  The
+  subtrees of a root body and of its z-derivative that do not depend on
+  the root's dummy and hold no root take the same value in every body
+  evaluation on the same columns, and a solve passes the same columns
+  to its bisection steps, Newton polish and final check (to its bracket
+  probes too, while every column is still searching), and to all its
+  jet-Newton steps.  Their memo entries are carried from one such
+  evaluation to the next (_ColumnMemo).
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
@@ -181,6 +189,33 @@ _interned = _NodeCache(_intern)
 _dderivs = _NodeCache(lambda e: {0: e.integrand})
 _root_derivative = _NodeCache(
     lambda e: _interned(X.simplify(X.differentiate(e.body, e.dummy))))
+
+
+def _column_constant_ids(e: X.RootOf) -> frozenset:
+    """ids of the column constants of root e: the subtrees of its body and
+    of its z-derivative that have no e.dummy among their free names and
+    hold no RootOf (whose seeds move from call to call)."""
+    ids = set()
+
+    def visit(t: X.Expr) -> bool:
+        # whether t holds a RootOf; a RootOf's own subtrees are evaluated
+        # in its own memos
+        if isinstance(t, X.RootOf):
+            return True
+        held = False
+        for c in t.children():
+            held |= visit(c)
+        if not held and e.dummy not in t._free:
+            ids.add(id(t))
+        return held
+
+    visit(_interned(e.body))
+    visit(_root_derivative(e))
+    return frozenset(ids)
+
+
+_column_constants = _NodeCache(_column_constant_ids)
+
 # no Integral or RootOf inside: the node's value at a column depends on that
 # column alone, whatever batch it is evaluated in
 _is_leaf = _NodeCache(
@@ -450,6 +485,31 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     return out
 
 
+class _ColumnMemo:
+    """The memo entries of a root's column constants (_column_constants),
+    carried from one evaluation of its body or z-derivative to the next
+    while the columns stay the same.  A column constant's value depends
+    only on the node, the columns' bindings and the context, so reusing it
+    moves no bit.  A call that records a cause or overflows carries
+    nothing, so every cause is recorded, and every overflow check made, as
+    often as with a fresh memo per call."""
+
+    def __init__(self, ids: frozenset):
+        self.ids = ids
+        self.cols = None
+        self.memo: dict = {}
+
+    def ev(self, tree: X.Expr, env, ctx: EvalContext, cols: np.ndarray) -> JetBatch:
+        if not np.array_equal(cols, self.cols):
+            self.cols, self.memo = cols, {}
+        memo = dict(self.memo)
+        tally, overflows = ctx.causes.total(), _OVERFLOWS.n
+        out = _ev(tree, env, ctx, cols.size, memo)
+        if ctx.causes.total() == tally and _OVERFLOWS.n == overflows:
+            self.memo = {k: v for k, v in memo.items() if k in self.ids}
+        return out
+
+
 def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     iset = ctx.iset
     body = _interned(e.body)
@@ -457,13 +517,14 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
     vctx = ctx.value_context()
     viset = vctx.iset
     venv = {nm: jb.value_rows() for nm, jb in env.items() if nm in body._free}
+    solve = _ColumnMemo(_column_constants(e))
 
     def values_of(tree: X.Expr):
         # tree's value at (zs, cols): the root body or its z-derivative
         def f(zs: np.ndarray, cols: np.ndarray) -> np.ndarray:
             en = {nm: jb.gather(cols) for nm, jb in venv.items()}
             en[e.dummy] = JetBatch.constants(viset, zs)
-            return _widen(_ev(tree, en, vctx, zs.size, {}), zs.size).data[0]
+            return _widen(solve.ev(tree, en, vctx, cols), zs.size).data[0]
         return f
 
     seeds = _root_seeds(e, ctx, n)
@@ -482,11 +543,13 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
         return JetBatch.constants(iset, roots)
 
     z = JetBatch.constants(iset, roots)
+    newton = _ColumnMemo(solve.ids)
+    allcols = np.arange(n)
     for _ in range(3):
         en = {nm: jb for nm, jb in env.items() if nm in body._free}
         en[e.dummy] = z
-        F = _widen(_ev(body, en, ctx, n, {}), n)
-        Fz = _widen(_ev(body_z, en, ctx, n, {}), n)
+        F = _widen(newton.ev(body, en, ctx, allcols), n)
+        Fz = _widen(newton.ev(body_z, en, ctx, allcols), n)
         degen = np.isfinite(Fz.data[0]) & (np.abs(Fz.data[0]) < DEGENERATE_TOL)
         if degen.any():
             ctx.record("degenerate", degen, e)

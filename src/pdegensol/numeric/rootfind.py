@@ -2,8 +2,9 @@
 
 Strategy per element: expand a bracket geometrically around the seed until
 the function changes sign (NaN probes block that direction: the domain edge
-acts as a wall), bisect the bracket down to width ~1e-14, then polish with
-a few Newton steps using the supplied derivative.  Everything runs on whole
+acts as a wall), halve the bracket 52 times (no width test: that takes a
+bracket of width w down to w * 2**-52), then polish with three Newton
+steps using the supplied derivative.  Everything runs on whole
 arrays; elements drop out as they converge.  The first step is
 _EXPAND_STEP0 * max(1, |seed|), each next one _EXPAND_GROWTH times longer,
 and the search gives up past _EXPAND_SPAN * max(1, |seed|).

@@ -8,8 +8,9 @@ They time the kernels of the integrand and root-body hot loop on fixed
 inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
 leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
 of 4.4's innermost integral over about 1e6 nodes, one driver round of
-1.8e6 panels with a trivial integrand, one batch of 3.7's root body, and
-one evaluation of 5.2's solution jets on 20 points.
+1.8e6 panels with a trivial integrand, one batch of 3.7's root body, one
+value-only solve of 5.2's root and one evaluation of 5.2's solution jets,
+both on 20 points.
 """
 
 import numpy as np
@@ -126,7 +127,9 @@ def test_driver_round(benchmark):
 
 def test_root_body_batch(benchmark, monkeypatch):
     # one value-only batch of 3.7's root body (an adaptive integral in Z)
-    # over 200 columns, as the bracketing and bisection loop calls it
+    # over 200 columns, as the bracketing and bisection loop calls it.
+    # Every round passes the same columns, so rounds after the first reuse
+    # the body's column constants (t and G(eta)) as bisection steps do
     fam = get_family("3.7")
     scn = draw_scenario(fam, _scenario_rng(1, "3.7", 0), 2)
     root = next(r for r in X.walk(fam.solution) if isinstance(r, X.RootOf))
@@ -147,6 +150,25 @@ def test_root_body_batch(benchmark, monkeypatch):
     zs = rs.uniform(0.5, 1.5, cols)
     out = benchmark(fvals[0], zs, np.arange(cols))
     assert out.shape == (cols,) and np.isfinite(out).all()
+
+
+def test_root_solve_52(benchmark):
+    # one value-only solve of 5.2's root on 20 points, in a fresh context
+    # per call: about 70 body evaluations, whose two integrals over xi do
+    # not depend on Z and are evaluated once per column set
+    fam = get_family("5.2")
+    scn = draw_scenario(fam, _scenario_rng(1, "5.2", 0), 20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values())).value_only()
+    n = len(scn.points)
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+
+    def run():
+        return eval_batch(fam.solution, env, EvalContext(iset, scn, CFG), n)
+
+    out = benchmark(run)
+    assert iset.K == 1 and out.data.shape == (1, n)
+    assert np.isfinite(out.data).all()
 
 
 def test_solution_jets_52(benchmark):

@@ -668,3 +668,101 @@ def test_interning_a_known_structure_builds_no_node(monkeypatch):
     assert engine._interned(canon) is canon
     assert engine._interned(copy) is canon
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# A root's column constants (the subtrees of its body and z-derivative free
+# of its dummy) are evaluated once per column set of a solve, and every
+# output bit and cause count stays.
+
+
+def _fresh_memo_per_call(m):
+    # no column constants in any root: every body evaluation starts from an
+    # empty memo
+    m.setattr(engine, "_column_constants", lambda e: frozenset())
+
+
+@pytest.mark.parametrize("fid", ["5.2", "5.3"])
+def test_root_column_constants_bit_identical(monkeypatch, fid):
+    fam, scn = _draw(fid, npts=4)
+    full = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    for iset in (full.value_only(), full):
+        carried = _solution_jets(fam, scn, iset)
+        with monkeypatch.context() as m:
+            _fresh_memo_per_call(m)
+            fresh = _solution_jets(fam, scn, iset)
+        assert _same_bits(carried[0], fresh[0])
+        assert np.isfinite(carried[0]).all()
+        assert list(carried[1].items()) == list(fresh[1].items())
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_root_column_constants_keep_causes(scn_tx, monkeypatch, k):
+    # ln(Z) walls off the bracket search below Z = 0, which column 0 (root
+    # near 0.25) reaches before any sign change; column 2's exp(800*x)
+    # overflows on every call, and 1/inf = 0 keeps its body finite, so
+    # the calls of its whole solve record a cause and carry nothing
+    e = parse("rootof(Z, ln(Z) - int(xi, base(p0), x, xi + t) + 1/exp(800*x), 1)",
+              Env(variables=("t", "x")))
+    iset = _isets(("t", "x"))[k]
+    t = np.array([-3.0, -3.0, 1.0, 0.5])
+    x = np.array([0.5, 0.3, 0.95, 0.4])
+
+    def run():
+        env = {"t": JetBatch.variable(iset, "t", t),
+               "x": JetBatch.variable(iset, "x", x)}
+        ctx = EvalContext(iset, scn_tx, CFG)
+        with np.errstate(all="ignore"):
+            jb = eval_batch(e, env, ctx, t.size)
+        return jb.data, ctx.causes
+
+    carried = run()
+    with monkeypatch.context() as m:
+        _fresh_memo_per_call(m)
+        fresh = run()
+    assert _same_bits(carried[0], fresh[0])
+    assert list(carried[1].items()) == list(fresh[1].items())
+    kinds = {kind for (kind, _node), c in carried[1].items() if c}
+    assert {"domain", "overflow", "root"} <= kinds
+    assert np.isnan(carried[0][:, 0]).all()
+    assert np.isfinite(carried[0][0, 1:]).all()
+
+
+def test_root_column_constants_evaluated_once_per_column_set(monkeypatch):
+    # one value-only solve of 5.2 on 20 columns: a fresh memo per body call
+    # evaluates its two integrals over xi on every call
+    fam, scn = _draw("5.2", npts=20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values())).value_only()
+    solve = engine.rootfind.bracket_bisect_newton
+    quad = engine.adaptive_gk_batched
+
+    def calls():
+        n = {"quad": 0, "body": 0, "body_z": 0}
+
+        def counted(f, key):
+            def g(zs, cols):
+                n[key] += 1
+                return f(zs, cols)
+            return g
+
+        def count_quad(*args):
+            n["quad"] += 1
+            return quad(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "adaptive_gk_batched", count_quad)
+            m.setattr(engine.rootfind, "bracket_bisect_newton",
+                      lambda f, fp, seeds, cfg: solve(
+                          counted(f, "body"), counted(fp, "body_z"), seeds, cfg))
+            _solution_jets(fam, scn, iset)
+        return n
+
+    carried = calls()
+    with monkeypatch.context() as m:
+        _fresh_memo_per_call(m)
+        fresh = calls()
+    assert carried["body"] == fresh["body"] > 60
+    assert carried["body_z"] == fresh["body_z"]
+    # (5.2's z-derivative, 2*Z, holds no integral)
+    assert fresh["quad"] == 2 * fresh["body"]
+    assert 10 * carried["quad"] < fresh["quad"]
