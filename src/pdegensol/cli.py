@@ -10,11 +10,25 @@
 Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id,
 3 any INDETERMINATE (and no FAIL), 4 usage, I/O or evaluation error
 (EvalError: a malformed tree, an unbound name, the nesting limit).
+
+The command line keeps freed memory in its process for reuse (glibc only,
+through mallopt; elsewhere nothing changes).  By default glibc hands each
+large freed block back to the kernel, so the next numpy temporary of the
+same size page-faults on fresh zeroed pages, and a `sample 3.8` run spent
+about a third of its wall time in the kernel.  main() therefore serves
+large blocks from the heap, never trims the heap's top, and lets the
+verify pool's threads share one arena.  The cost is that a run holds its
+peak heap until it exits: a few percent more peak RSS on a `sample` run,
+none on `verify all`.  Allocation placement changes no arithmetic, so
+every output is bit for bit the same.  `import pdegensol` leaves the
+allocator alone: a process-wide policy is the program's choice, not the
+library's.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import sys
@@ -74,7 +88,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# mallopt(3) parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_INT_MAX = 2**31 - 1
+
+
+def _libc():
+    """The C library's symbols as this process sees them, or None where
+    the platform has no such handle (Windows)."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed blocks in the process for reuse, where libc has mallopt:
+    blocks below 2 GiB come from the heap, not from mmap, the heap's top is
+    never trimmed, and all threads share the main arena (a thread's own
+    arena would still unmap its large blocks)."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, _INT_MAX),
+                         (_M_TRIM_THRESHOLD, _INT_MAX),
+                         (_M_ARENA_MAX, 1)):
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         if args.cmd == "list":
@@ -195,7 +242,11 @@ def _parse_grid(pairs, fam):
                 f"bad --grid {item!r}, expected VAR=LO:HI:COUNT")
         if name not in fam.variables:
             raise ValueError(f"{fam.family_id} has no variable {name!r}")
+        if name in ranges:
+            raise ValueError(f"--grid gives {name!r} twice")
         lo, hi, cnt = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"bad --grid {item!r}, limits must be finite")
         if cnt < 1:
             raise ValueError("grid count must be >= 1")
         ranges[name] = np.linspace(lo, hi, cnt)

@@ -655,6 +655,11 @@ def verify_family(
     for what, count in (("scenario", n_scenarios), ("point", n_points)):
         if count < 1:
             raise ValueError(f"{what} count must be at least 1, got {count}")
+    for what, value in (("base shift", base_shift),
+                        *((f"parameter {name}", value) for name, value
+                          in (param_overrides or {}).items())):
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {value}")
     fam = family if isinstance(family, PdeFamily) else get_family(family)
     check_overrides(fam, param_overrides)
     tol = FAMILY_TOL.get(fam.family_id, DEFAULT_TOL_REL)

@@ -10,8 +10,18 @@ leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
 of 4.4's innermost integral over about 1e6 nodes, one driver round of
 1.8e6 panels with a trivial integrand, one batch of 3.7's root body, one
 value-only solve of 5.2's root and one evaluation of 5.2's solution jets,
-both on 20 points.
+both on 20 points.  One tooling case runs `pdegensol sample 3.8` (5x5,
+seed 1) in a fresh interpreter and records the child's minor page faults
+and system time in extra_info: what the allocator costs a command-line
+run outside numpy.
 """
+
+import os
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +198,29 @@ def test_solution_jets_52(benchmark):
     out = benchmark(run)
     assert iset.K == 8 and out.data.shape == (8, n)
     assert np.isfinite(out.data).all()
+
+
+def test_sample_38_process(benchmark):
+    # a whole command-line run, interpreter start-up and import included.
+    # Faults and system time are the child's own (RUSAGE_CHILDREN deltas),
+    # so a freed block handed back to the kernel and faulted in again by
+    # the next temporary shows up here and nowhere in the kernels above
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pdegensol.cli", "sample", "3.8",
+            "--seed", "1"]
+    faults, sys_s = [], []
+
+    def run():
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+                              stdout=subprocess.DEVNULL, timeout=300)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        faults.append(after.ru_minflt - before.ru_minflt)
+        sys_s.append(after.ru_stime - before.ru_stime)
+        return proc.returncode
+
+    assert benchmark.pedantic(run, rounds=5, iterations=1) == 0
+    benchmark.extra_info.update(minor_faults=statistics.median(faults),
+                                sys_s=statistics.median(sys_s))

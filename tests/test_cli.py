@@ -2,10 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
+from pdegensol import cli
 from pdegensol.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_list_exits_zero(capsys):
@@ -167,6 +175,73 @@ def test_sample_stdout_header(capsys):
 
 def test_sample_bad_grid_exit_4(capsys):
     assert main(["sample", "3.1", "--grid", "t=oops"]) == 4
+
+
+@pytest.mark.parametrize("spec", ["t=0.2:inf:2", "t=nan:1.2:2",
+                                  "t=-inf:1.2:2"])
+def test_sample_nonfinite_grid_limit_exit_4(capsys, spec):
+    assert main(["sample", "3.1", "--grid", spec]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad --grid {spec!r}, limits must be finite\n"
+
+
+def test_sample_grid_variable_twice_exit_4(capsys):
+    assert main(["sample", "3.1", "--grid", "t=0.2:0.4:2",
+                 "--grid", "t=0.6:0.8:2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --grid gives 't' twice\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--set", "b=nan"], "parameter b must be finite, got nan"),
+    (["--set", "b=inf"], "parameter b must be finite, got inf"),
+    (["--base-shift", "nan"], "base shift must be finite, got nan"),
+])
+def test_verify_nonfinite_input_exit_4(capsys, monkeypatch, argv, message):
+    # no admissible scenario can be drawn from a non-finite input: an error
+    # before any scenario is drawn, not 50 draws and an INDETERMINATE
+    import pdegensol.verifier as verifier
+
+    def no_draw(*a, **kw):
+        raise AssertionError("drew a scenario")
+
+    monkeypatch.setattr(verifier, "draw_scenario", no_draw)
+    assert main(["verify", "3.1", "3.7", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def _sample_stdout(prelude):
+    argv = ["sample", "3.8", "--grid", "t=0.2:1.2:3", "--grid",
+            "x=0.2:1.2:3", "--seed", "1"]
+    code = (f"import sys; from pdegensol import cli; {prelude}; "
+            f"sys.exit(cli.main({argv!r}))")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_sample_bits_do_not_depend_on_allocator_policy():
+    # the policy moves where blocks are allocated, never a bit of output;
+    # each side in a fresh interpreter, as a command-line run is
+    kept = _sample_stdout("pass")
+    plain = _sample_stdout("cli._keep_freed_memory = lambda: None")
+    assert kept.count(b"\n") == 1 + 1 + 9
+    assert kept == plain
+
+
+def test_libc_without_mallopt_is_a_no_op(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_libc", lambda: types.SimpleNamespace())
+    assert main(["list"]) == 0
+    monkeypatch.setattr(cli, "_libc", lambda: None)
+    assert main(["list"]) == 0
 
 
 def test_eval_error_exit_4(capsys, monkeypatch):

@@ -6,6 +6,7 @@ production settings.
 
 import dataclasses
 import json
+import math
 import threading
 
 import numpy as np
@@ -291,6 +292,21 @@ def test_unknown_override_rejected_before_any_work(monkeypatch):
                                          r"its parameters: b, c"):
         verify_family("3.1", n_scenarios=1, n_points=2,
                       param_overrides={"C": 0.0})
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"param_overrides": {"b": math.nan}}, "parameter b must be finite"),
+    ({"param_overrides": {"b": -math.inf}}, "parameter b must be finite"),
+    ({"base_shift": math.inf}, "base shift must be finite"),
+])
+def test_nonfinite_input_rejected_before_any_work(monkeypatch, kw, message):
+    # a NaN or infinite parameter or base point admits no scenario
+    def no_draw(*a, **kw):
+        raise AssertionError("drew a scenario")
+
+    monkeypatch.setattr(verifier, "draw_scenario", no_draw)
+    with pytest.raises(ValueError, match=message):
+        verify_family("3.1", n_scenarios=1, n_points=2, **kw)
 
 
 def _unevaluable(real):
