@@ -174,6 +174,8 @@ def _parse_overrides(pairs):
         name, _, val = item.partition("=")
         if not _ or not name:
             raise ValueError(f"bad --set {item!r}, expected PARAM=VALUE")
+        if name in out:
+            raise ValueError(f"--set gives {name!r} twice")
         out[name] = float(val)
     return out
 
@@ -270,6 +272,8 @@ def _function_dict(fi):
 def _cmd_sample(args) -> int:
     fam = get_family(args.id)
     axes = _parse_grid(args.grid, fam)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
 
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -51,13 +51,14 @@ one whole-batch call would.  Every arithmetic node is evaluated through
 one table, _ARITH, and has its causes checked in one place, _ev_node.
 Module constants hold the engine's own limits: the poison guards
 DEN_GUARD, POS_GUARD and TAN_GUARD (scaled by a context's guard_scale),
-DEGENERATE_TOL for solved roots, and NEST_LIMIT, which caps quadrature
-nesting with an error rather than a poisoned column."""
+DEGENERATE_TOL for solved roots, NEST_LIMIT, which caps quadrature
+nesting with an error rather than a poisoned column, and CFG, the one
+configuration (quadrature and root tolerances) every evaluation runs at."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -77,6 +78,9 @@ DEGENERATE_TOL = 1e-10
 DEN_GUARD = 1e-13
 POS_GUARD = 1e-13
 TAN_GUARD = 1e-8
+# the tolerances every quadrature and root solve runs at, and every report
+# records
+CFG = NumericConfig()
 
 # nodes per slice of a leaf-integrand callback, rounded down to whole
 # 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
@@ -91,7 +95,7 @@ _UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, "pos_guard"),
 
 
 class EvalContext:
-    """Evaluation state: index set, scenario bindings, config, guard scale,
+    """Evaluation state: index set, scenario bindings, guard scale,
     nesting depth, and the state that every sub-context of one evaluation
     shares: the cause tally, the root-seed cache and the cache of width-1
     scenario constants.  causes counts poisoned columns per (kind, node),
@@ -107,12 +111,10 @@ class EvalContext:
         self,
         iset: IndexSet,
         scenario,
-        cfg: Optional[NumericConfig] = None,
         guard_scale: float = 1.0,
     ):
         self.iset = iset
         self.scenario = scenario
-        self.cfg = cfg or NumericConfig()
         self.guard_scale = guard_scale
         self.den_guard = DEN_GUARD * guard_scale
         self.pos_guard = POS_GUARD * guard_scale
@@ -285,7 +287,7 @@ def _hoisted(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     key = (id(e), ctx.iset)
     ent = ctx.hoisted.get(key)
     if ent is None or ent[0] is not e:
-        probe = EvalContext(ctx.iset, ctx.scenario, ctx.cfg, ctx.guard_scale)
+        probe = EvalContext(ctx.iset, ctx.scenario, ctx.guard_scale)
         jb = _ev_node(e, {}, probe, 1, {})
         if probe.causes or not np.isfinite(jb.data).all():
             jb = None
@@ -468,7 +470,7 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         ctx.record("quad", mask, e)
 
     data = adaptive_gk_batched(
-        integrand_eval, lo_jb.data[0], up_jb.data[0], iset.K, ctx.cfg, on_noconv
+        integrand_eval, lo_jb.data[0], up_jb.data[0], iset.K, CFG, on_noconv
     )
     out = JetBatch(iset, data)
     if iset.K > 1:
@@ -529,7 +531,7 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
 
     seeds = _root_seeds(e, ctx, n)
     roots, status = rootfind.bracket_bisect_newton(
-        values_of(body), values_of(body_z), seeds, ctx.cfg)
+        values_of(body), values_of(body_z), seeds, CFG)
     fail = status != rootfind.OK
     if fail.any():
         ctx.record("root", fail, e)

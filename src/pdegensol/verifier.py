@@ -31,11 +31,11 @@ from . import __version__
 from . import expr_core as X
 from .catalog import PdeFamily, get_family, family_ids
 from .numeric import (
+    CFG,
     EvalContext,
     FunctionInstance,
     IndexSet,
     JetBatch,
-    NumericConfig,
     SamplingExhausted,
     eval_batch,
     polynomial,
@@ -64,12 +64,6 @@ XCHECK_TOL = 1e-4
 # digit of slack because every derivative passes through the root solve
 DEFAULT_TOL_REL = 1e-6
 FAMILY_TOL = {"3.7": 1e-5, "3.8": 1e-5}
-
-# the engine configuration every verdict is decided at
-CFG = NumericConfig()
-# the cross-check's: quadrature tightened so the difference quotients see a
-# quiet function
-XCHECK_CFG = NumericConfig(quad_rel_tol=1e-12, quad_abs_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +290,10 @@ def _draw_points(rng: np.random.Generator, fam: PdeFamily,
 
 
 def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
-                    cfg: NumericConfig = CFG,
                     guard_scale: float = 1.0) -> np.ndarray:
     """Value-only evaluation of the solution at the rows of `pts`."""
     iset0 = IndexSet(fam.variables, {(0,) * len(fam.variables)})
-    ctx = EvalContext(iset0, scn, cfg, guard_scale=guard_scale)
+    ctx = EvalContext(iset0, scn, guard_scale=guard_scale)
     return eval_batch(fam.solution, _points_env(fam, iset0, pts), ctx,
                       len(pts)).value()
 
@@ -355,7 +348,7 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     or any PDE term is not finite."""
     n = len(pts)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
-    ctx = EvalContext(iset, scn, CFG)
+    ctx = EvalContext(iset, scn)
     # poisoned columns propagate NaN through every jet op; silence the
     # resulting invalid/overflow chatter, the masks below dispose of them
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -366,7 +359,7 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
         env0 = _points_env(fam, iset0, pts)
         for name, mi in fam.deriv_orders.items():
             env0[name] = JetBatch.constants(iset0, jb.data[iset.pos[mi]])
-        ctx0 = EvalContext(iset0, scn, CFG)
+        ctx0 = EvalContext(iset0, scn)
         vals = np.array([
             eval_batch(term, env0, ctx0, n).value() for term in fam.pde_terms
         ])
@@ -380,20 +373,17 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
 
 
 # Nested quadrature fans out per column (~15^depth inner evaluations), so
-# the points of a deep solution go into the engine a batch at a time, the
-# batch size set by the solution's integral depth (capped at 5; a depth
-# without an entry takes all points in one batch).  At the cross-check's
-# tightened tolerances one 32-column batch of 4.4 (depth 5) takes a process
-# from about 50 MB to a 554 MB peak RSS.  The split is part of every output
-# bit: root seeds, the quadrature's panel cap and its sums all depend on
-# which columns share a call
-RESIDUAL_BATCH = {4: 5, 5: 5}
-XCHECK_BATCH = {3: 250, 4: 150, 5: 32}
+# the residual pass and the cross-check put the points of a solution 4 or
+# more integrals deep into the engine DEEP_BATCH at a time, and those of a
+# shallower one all at once.  The split is part of every output bit: root
+# seeds, the quadrature's panel cap and its sums all depend on which
+# columns share a call
+DEEP_BATCH = 5
 
 
-def _batches(fam: PdeFamily, pts: np.ndarray, table: Dict[int, int]):
-    """The rows of pts in consecutive batches of table's size for fam."""
-    step = table.get(min(fam.sol_depth, 5), len(pts))
+def _batches(fam: PdeFamily, pts: np.ndarray):
+    """The rows of pts in the consecutive batches fam is evaluated in."""
+    step = DEEP_BATCH if fam.sol_depth >= 4 else len(pts)
     return [pts[i:i + step] for i in range(0, len(pts), step)]
 
 
@@ -413,7 +403,7 @@ def scenario_residuals(
     resampled = 0
     for round_no in range(MAX_RESAMPLE_ROUNDS + 1):
         parts = [_eval_rel(fam, scn, b)
-                 for b in _batches(fam, scn.points[todo], RESIDUAL_BATCH)]
+                 for b in _batches(fam, scn.points[todo])]
         rel_t = np.concatenate([p[0] for p in parts])
         data_t = np.concatenate([p[1] for p in parts], axis=1)
         iset = parts[0][2]
@@ -475,8 +465,8 @@ def crosscheck_derivatives(
     allpts = np.concatenate([pts + h * np.array(off, dtype=float)
                              for _, h, (combos, _) in plan
                              for off, _ in combos], axis=0)
-    w = np.concatenate([solution_values(fam, scn, b, XCHECK_CFG)
-                        for b in _batches(fam, allpts, XCHECK_BATCH)])
+    w = np.concatenate([solution_values(fam, scn, b)
+                        for b in _batches(fam, allpts)])
     if not np.isfinite(w).all():
         return float("inf")
 
@@ -655,6 +645,8 @@ def verify_family(
     for what, count in (("scenario", n_scenarios), ("point", n_points)):
         if count < 1:
             raise ValueError(f"{what} count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for what, value in (("base shift", base_shift),
                         *((f"parameter {name}", value) for name, value
                           in (param_overrides or {}).items())):

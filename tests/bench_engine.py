@@ -10,10 +10,13 @@ leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
 of 4.4's innermost integral over about 1e6 nodes, one driver round of
 1.8e6 panels with a trivial integrand, one batch of 3.7's root body, one
 value-only solve of 5.2's root and one evaluation of 5.2's solution jets,
-both on 20 points.  One tooling case runs `pdegensol sample 3.8` (5x5,
-seed 1) in a fresh interpreter and records the child's minor page faults
-and system time in extra_info: what the allocator costs a command-line
-run outside numpy.
+both on 20 points.  Two tooling cases run the command line in a fresh
+interpreter.  One runs `pdegensol sample 3.8` (5x5, seed 1) and records
+the child's minor page faults and system time in extra_info: what the
+allocator costs a command-line run outside numpy.  The other runs
+`pdegensol verify 4.4 --scenarios 1 --points 2 --seed 1` and records the
+child's own peak RSS and the wall time: the working set of the deepest
+solution's residual pass and cross-check.
 """
 
 import os
@@ -21,6 +24,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +35,12 @@ pytest.importorskip("pytest_benchmark")
 from pdegensol import expr_core as X
 from pdegensol.catalog import get_family
 from pdegensol.expr_core import Env, parse
-from pdegensol.numeric import EvalContext, IndexSet, JetBatch, NumericConfig, eval_batch, polynomial
+from pdegensol.numeric import EvalContext, IndexSet, JetBatch, eval_batch, polynomial
 from pdegensol.numeric import engine, quadrature
 from pdegensol.numeric.quadrature import Panels
 from pdegensol.verifier import _scenario_rng, draw_scenario
 
 from conftest import StubScenario, mk_poly1
-
-CFG = NumericConfig()
 
 
 @pytest.mark.parametrize("n", [10**3, 10**6], ids=["N1e3", "N1e6"])
@@ -70,7 +72,7 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
         return np.zeros((K, lo.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
-    eval_batch(e, env, EvalContext(iset, scn, CFG), cols)
+    eval_batch(e, env, EvalContext(iset, scn), cols)
     integrand_eval = callbacks[0]
     m = 10**6
     npan = m // 15
@@ -101,7 +103,7 @@ def test_leaf_quadrature_44(benchmark, monkeypatch):
         return quadrature.adaptive_gk_batched(evalfn, lo, hi, K, cfg, on_noconv)
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
-    eval_batch(inner, env, EvalContext(iset, scn, CFG), cols)
+    eval_batch(inner, env, EvalContext(iset, scn), cols)
     evalfn, lo, hi, K, cfg = calls[0]
     nodes = []
 
@@ -130,7 +132,7 @@ def test_driver_round(benchmark):
         rounds.append(panels.size)
         return vals
 
-    data = benchmark(quadrature.adaptive_gk_batched, integrand, lo, hi, 1, CFG)
+    data = benchmark(quadrature.adaptive_gk_batched, integrand, lo, hi, 1, engine.CFG)
     assert set(rounds) == {vals.size}
     assert data == pytest.approx(hi[None, :] ** 3 / 3.0, rel=1e-12)
 
@@ -156,7 +158,7 @@ def test_root_body_batch(benchmark, monkeypatch):
         return solve(fval, fprime, seeds, cfg)
 
     monkeypatch.setattr(engine.rootfind, "bracket_bisect_newton", keep)
-    eval_batch(root, env, EvalContext(iset, scn, CFG), cols)
+    eval_batch(root, env, EvalContext(iset, scn), cols)
     zs = rs.uniform(0.5, 1.5, cols)
     out = benchmark(fvals[0], zs, np.arange(cols))
     assert out.shape == (cols,) and np.isfinite(out).all()
@@ -174,7 +176,7 @@ def test_root_solve_52(benchmark):
            for i, v in enumerate(fam.variables)}
 
     def run():
-        return eval_batch(fam.solution, env, EvalContext(iset, scn, CFG), n)
+        return eval_batch(fam.solution, env, EvalContext(iset, scn), n)
 
     out = benchmark(run)
     assert iset.K == 1 and out.data.shape == (1, n)
@@ -193,11 +195,18 @@ def test_solution_jets_52(benchmark):
            for i, v in enumerate(fam.variables)}
 
     def run():
-        return eval_batch(fam.solution, env, EvalContext(iset, scn, CFG), n)
+        return eval_batch(fam.solution, env, EvalContext(iset, scn), n)
 
     out = benchmark(run)
     assert iset.K == 8 and out.data.shape == (8, n)
     assert np.isfinite(out.data).all()
+
+
+def _child_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def test_sample_38_process(benchmark):
@@ -205,16 +214,13 @@ def test_sample_38_process(benchmark):
     # Faults and system time are the child's own (RUSAGE_CHILDREN deltas),
     # so a freed block handed back to the kernel and faulted in again by
     # the next temporary shows up here and nowhere in the kernels above
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src),
-                                         os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "pdegensol.cli", "sample", "3.8",
             "--seed", "1"]
     faults, sys_s = [], []
 
     def run():
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+        proc = subprocess.run(argv, env=_child_env(),
                               stdout=subprocess.DEVNULL, timeout=300)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         faults.append(after.ru_minflt - before.ru_minflt)
@@ -224,3 +230,28 @@ def test_sample_38_process(benchmark):
     assert benchmark.pedantic(run, rounds=5, iterations=1) == 0
     benchmark.extra_info.update(minor_faults=statistics.median(faults),
                                 sys_s=statistics.median(sys_s))
+
+
+def test_verify_44_peak_rss(benchmark):
+    # one scenario of 4.4 at 2 points through the command line: the child
+    # prints its own peak RSS (RUSAGE_SELF, KiB on Linux) after main
+    # returns, so the peak is the run's and no earlier child's
+    argv = ["verify", "4.4", "--scenarios", "1", "--points", "2",
+            "--seed", "1"]
+    code = ("import resource, sys; from pdegensol import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+            "sys.exit(rc)")
+    peaks, walls = [], []
+
+    def run():
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=600)
+        walls.append(time.perf_counter() - t0)
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+        return proc.returncode
+
+    assert benchmark.pedantic(run, rounds=3, iterations=1) == 0
+    benchmark.extra_info.update(peak_rss_mb=statistics.median(peaks),
+                                wall_s=statistics.median(walls))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdegensol.expr_core import Env
-from pdegensol.numeric import NumericConfig, polynomial
+from pdegensol.numeric import polynomial
 
 
 class StubScenario:
@@ -30,11 +30,6 @@ def scn_x():
 @pytest.fixture
 def scn_tx():
     return StubScenario(("t", "x"), base_points={"p0": 0.0, "p1": 0.0})
-
-
-@pytest.fixture
-def cfg():
-    return NumericConfig()
 
 
 @pytest.fixture

@@ -63,6 +63,23 @@ def test_verify_bad_override_exit_4(capsys):
     assert main(["verify", "3.1", "--set", "nonsense"]) == 4
 
 
+def test_verify_override_twice_exit_4(capsys):
+    assert main(["verify", "3.1", "--set", "b=1", "--set", "b=2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --set gives 'b' twice\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "3.1", "--seed", "-5"],
+                                  ["sample", "3.1", "--seed", "-5"]])
+def test_negative_seed_exit_4(capsys, argv):
+    # numpy takes no negative seed: the error names it, before any draw
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -5\n"
+
+
 @pytest.mark.parametrize("flag,count", [("--scenarios", "scenario count"),
                                         ("--points", "point count")])
 def test_verify_zero_count_exit_4(capsys, flag, count):

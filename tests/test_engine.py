@@ -22,7 +22,6 @@ from pdegensol.numeric import (
     IndexSet,
     JetBatch,
     NestLimitExceeded,
-    NumericConfig,
     eval_batch,
     polynomial,
 )
@@ -32,8 +31,6 @@ from pdegensol.verifier import _scenario_rng, draw_scenario
 
 from conftest import StubScenario, central_diff, mk_poly1, richardson
 from test_expr_parse import ENV as PARSE_ENV, _texts
-
-CFG = NumericConfig()
 
 
 class _Col:
@@ -59,7 +56,7 @@ def _jet(text, point, scn, orders):
     iset = IndexSet(scn.variables, orders)
     jenv = {v: JetBatch.variable(iset, v, np.array([point[v]]))
             for v in scn.variables}
-    ctx = EvalContext(iset, scn, CFG)
+    ctx = EvalContext(iset, scn)
     return _Col(eval_batch(e, jenv, ctx, 1), ctx)
 
 
@@ -224,7 +221,7 @@ def test_degenerate_root_poisons_its_column(scn_x):
     # has z = 2 and dz/dx = 1/(3 z^2) = 1/12                    [DERIVED]
     e = parse("rootof(Z, Z^3 - x, 0.5)", Env(variables=("x",)))
     iset = IndexSet(("x",), {(1,)})
-    ctx = EvalContext(iset, scn_x, CFG)
+    ctx = EvalContext(iset, scn_x)
     env = {"x": JetBatch.variable(iset, "x", np.array([0.0, 8.0]))}
     jb = eval_batch(e, env, ctx, 2)
     assert np.isnan(jb.data[:, 0]).all()
@@ -289,7 +286,7 @@ def _causes_of_nonfinite(text, k):
     n = len(_CAUSE_PTS)
     env = {v: JetBatch.variable(iset, v, _CAUSE_PTS[:, i].copy())
            for i, v in enumerate(("t", "x"))}
-    ctx = EvalContext(iset, _CAUSE_SCN, CFG)
+    ctx = EvalContext(iset, _CAUSE_SCN)
     with np.errstate(all="ignore"):
         jb = eval_batch(parse(text, PARSE_ENV), env, ctx, n)
     return np.isfinite(jb.data).all(axis=0), ctx.causes
@@ -349,7 +346,7 @@ def test_catalog_nonfinite_columns_have_causes(fid):
     for iset in (full.value_only(), full):
         env = {v: JetBatch.variable(iset, v, pts[:, i].copy())
                for i, v in enumerate(fam.variables)}
-        ctx = EvalContext(iset, scn, CFG)
+        ctx = EvalContext(iset, scn)
         with np.errstate(all="ignore"):
             jb = eval_batch(fam.solution, env, ctx, len(pts))
         nonfinite = int((~np.isfinite(jb.data).all(axis=0)).sum())
@@ -416,7 +413,7 @@ def _hoisted_vs_full_width(e, env, scn, iset, n):
     for nm in names:
         env2["par_" + nm] = JetBatch.constants(
             iset, np.full(n, scn.parameters[nm]))
-    ctx, ctx2 = EvalContext(iset, scn, CFG), EvalContext(iset, scn, CFG)
+    ctx, ctx2 = EvalContext(iset, scn), EvalContext(iset, scn)
     with np.errstate(all="ignore"):
         first = eval_batch(e, env, ctx, n)
         first2 = eval_batch(e2, env2, ctx2, n)
@@ -530,7 +527,7 @@ def test_leaf_slicing_bit_identical(scn_tx, monkeypatch, k):
     out = {}
     for size in (7, 10**9):
         monkeypatch.setattr(engine, "_LEAF_SLICE", size)
-        ctx = EvalContext(iset, scn_tx, CFG)
+        ctx = EvalContext(iset, scn_tx)
         out[size] = eval_batch(e, env, ctx, n).data
     assert np.isfinite(out[7]).all()
     assert _same_bits(out[7], out[10**9])
@@ -548,7 +545,7 @@ def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
     out, causes = {}, {}
     for size in (7, 10**9):
         monkeypatch.setattr(engine, "_LEAF_SLICE", size)
-        ctx = EvalContext(iset, scn_tx, CFG)
+        ctx = EvalContext(iset, scn_tx)
         with np.errstate(all="ignore"):
             out[size] = eval_batch(e, env, ctx, n).data
         causes[size] = ctx.causes
@@ -584,7 +581,7 @@ def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
     for integrand in ("t", "eta"):
         e = parse(f"int(eta, base(p0), x, {integrand})", Env(variables=("t", "x")))
         with np.errstate(all="ignore"):
-            eval_batch(e, env, EvalContext(iset, scn_tx, CFG), n)
+            eval_batch(e, env, EvalContext(iset, scn_tx), n)
     rs = np.random.default_rng(7)
     panels = Panels(rs.uniform(-1.0, 1.0, npan), rs.uniform(1e-3, 1.0, npan),
                     np.sort(rs.integers(0, n, npan)))
@@ -601,7 +598,7 @@ def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
 def _solution_jets(fam, scn, iset):
     env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
            for i, v in enumerate(fam.variables)}
-    ctx = EvalContext(iset, scn, CFG)
+    ctx = EvalContext(iset, scn)
     with np.errstate(all="ignore"):
         jb = eval_batch(fam.solution, env, ctx, len(scn.points))
     return jb.data, ctx.causes
@@ -711,7 +708,7 @@ def test_root_column_constants_keep_causes(scn_tx, monkeypatch, k):
     def run():
         env = {"t": JetBatch.variable(iset, "t", t),
                "x": JetBatch.variable(iset, "x", x)}
-        ctx = EvalContext(iset, scn_tx, CFG)
+        ctx = EvalContext(iset, scn_tx)
         with np.errstate(all="ignore"):
             jb = eval_batch(e, env, ctx, t.size)
         return jb.data, ctx.causes

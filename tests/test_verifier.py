@@ -15,7 +15,7 @@ import pytest
 import pdegensol.verifier as verifier
 from pdegensol.catalog import (_build_family, _parse_records, family_ids,
                                get_family)
-from pdegensol.numeric import NestLimitExceeded, SamplingExhausted
+from pdegensol.numeric import IndexSet, NestLimitExceeded, SamplingExhausted
 from pdegensol.numeric import engine
 from pdegensol.verifier import (
     CFG,
@@ -27,6 +27,7 @@ from pdegensol.verifier import (
     VerificationReport,
     _negate_seeds,
     _probe_alternate_branch,
+    _stencil,
     _verdict,
     crosscheck_derivatives,
     draw_function,
@@ -110,6 +111,37 @@ def test_crosscheck_catches_wrong_jet():
     broken[iset.pos[(1, 0)]] += 0.37
     dev2 = crosscheck_derivatives(fam, scn, broken, iset, np.arange(2))
     assert dev2 > 0.05
+
+
+@pytest.mark.parametrize("fid", ["4.3", "4.4"])
+def test_crosscheck_evaluates_deep_solutions_in_residual_batches(
+        monkeypatch, fid):
+    # the difference quotients of a solution 4 or more integrals deep go
+    # into the engine DEEP_BATCH columns at a time, as the residual pass's
+    # points do.  A stand-in w = exp(c . v) has exact jets, so the
+    # quotients agree with them only if every stencil column was evaluated
+    # once and came back in its place
+    fam = get_family(fid)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    c = np.array([0.7, -0.4])
+    pts = np.array([[0.5, 0.8], [0.9, 0.3]])
+    jets = np.zeros((iset.K, len(pts)))
+    for mi, row in iset.pos.items():
+        jets[row] = np.prod(c ** np.array(mi)) * np.exp(pts @ c)
+    rows = []
+
+    def spy(fam, scn, p, *a, **kw):
+        rows.append(len(p))
+        return np.exp(p @ c)
+
+    monkeypatch.setattr(verifier, "solution_values", spy)
+    scn = Scenario({}, {}, {}, pts)
+    dev = crosscheck_derivatives(fam, scn, jets, iset, np.arange(2))
+    alphas = {mi for mi in fam.deriv_orders.values() if sum(mi) > 0}
+    assert max(rows) <= 5
+    assert sum(rows) == len(pts) * sum(2 * len(_stencil(a)[0])
+                                       for a in alphas)
+    assert dev < 1e-6
 
 
 def assert_verdict_recomputes(r):
@@ -249,9 +281,10 @@ def test_nonfinite_shifted_value_fails_the_crosscheck(monkeypatch):
     # cannot agree, so its deviation is infinite (JSON null), never 0
     real = verifier.solution_values
 
-    def hole(fam, scn, pts, cfg=CFG, **kw):
-        w = real(fam, scn, pts, cfg, **kw)
-        if cfg is verifier.XCHECK_CFG:
+    def hole(fam, scn, pts, guard_scale=1.0):
+        # the pre-scan evaluates at PRESCAN_GUARD, the cross-check at 1
+        w = real(fam, scn, pts, guard_scale=guard_scale)
+        if guard_scale == 1.0:
             w[0] = np.nan
         return w
 
@@ -307,6 +340,16 @@ def test_nonfinite_input_rejected_before_any_work(monkeypatch, kw, message):
     monkeypatch.setattr(verifier, "draw_scenario", no_draw)
     with pytest.raises(ValueError, match=message):
         verify_family("3.1", n_scenarios=1, n_points=2, **kw)
+
+
+def test_negative_seed_rejected_before_any_work(monkeypatch):
+    # a seed numpy cannot take: named in the error, before any draw
+    def no_draw(*a, **kw):
+        raise AssertionError("drew a scenario")
+
+    monkeypatch.setattr(verifier, "draw_scenario", no_draw)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        verify_family("3.1", n_scenarios=1, n_points=2, seed=-1)
 
 
 def _unevaluable(real):
