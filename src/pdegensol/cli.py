@@ -7,9 +7,13 @@
                                     family's line printed as it finishes
     pdegensol sample 3.1 --grid t=0.2:1.2:9 --grid x=0.2:1.2:9 -o w.csv
 
-Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id,
-3 any INDETERMINATE (and no FAIL), 4 usage, I/O or evaluation error
-(EvalError: a malformed tree, an unbound name, the nesting limit).
+Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id or a
+command line argparse rejects (an unknown option, a missing or malformed
+value), 3 any INDETERMINATE (and no FAIL), 4 an argument argparse accepts
+but the command rejects (a bad --set or --grid, a negative seed), an I/O
+error or an evaluation error (EvalError: a malformed tree, an unbound
+name, the nesting limit).  An output file whose directory is missing or
+not writable exits 4 before any work; the file is written at the end.
 
 The command line keeps freed memory in its process for reuse (glibc only,
 through mallopt; elsewhere nothing changes).  By default glibc hands each
@@ -31,6 +35,7 @@ import argparse
 import ctypes
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -168,6 +173,16 @@ def _cmd_show(args) -> int:
     return 0
 
 
+def _check_out_dir(path) -> None:
+    """Raise OSError unless the directory path would be written in exists
+    and is writable, so a bad path fails before the work, not after it."""
+    d = Path(path).parent
+    if not d.is_dir():
+        raise OSError(f"output directory {str(d)!r} does not exist")
+    if not os.access(d, os.W_OK):
+        raise OSError(f"output directory {str(d)!r} is not writable")
+
+
 def _parse_overrides(pairs):
     out = {}
     for item in pairs:
@@ -189,6 +204,8 @@ def _cmd_verify(args) -> int:
     for fid in ids:
         # surface unknown ids and parameters before any work
         check_overrides(get_family(fid), overrides)
+    if isinstance(args.as_json, str):
+        _check_out_dir(args.as_json)
 
     t0 = time.monotonic()
     reports = []
@@ -274,6 +291,8 @@ def _cmd_sample(args) -> int:
     axes = _parse_grid(args.grid, fam)
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.out:
+        _check_out_dir(args.out)
     scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
 
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -3,7 +3,9 @@
 The expression language covers what the catalog needs: rational arithmetic,
 powers, exp/ln/sqrt/trig, unknown-function applications F(t), a(t, x) and
 their derivatives G'(x), D[1,0]a(t,x), definite integrals with a named base
-point as lower limit, implicit roots (rootof), and local bindings (let).
+point as lower limit, and implicit roots (rootof).  let(name, bound, body)
+is syntax only: the parser substitutes bound for name in body, so no tree
+holds a binding, and Integral and RootOf are the only binders.
 
 Nodes are immutable, with structural equality and cached hashes and
 free-name sets.  Equal trees may be distinct objects; the numeric engine
@@ -277,20 +279,6 @@ class RootOf(Expr):
         self.dummy = dummy
         self.body = body
         self.seed = None if seed is None else float(seed)
-        self._init_caches()
-
-
-class Let(Expr):
-    """let(name, bound, body): body with name bound to the value of bound."""
-
-    __slots__ = ("name", "bound", "body")
-    _fields = ("name", "bound", "body")
-    _binds = ("name", "body")
-
-    def __init__(self, name: str, bound: Expr, body: Expr):
-        self.name = name
-        self.bound = bound
-        self.body = body
         self._init_caches()
 
 
@@ -643,7 +631,7 @@ class _Parser:
                     seed = -seed
             self.expect(")")
             return RootOf(dummy, body, seed)
-        # let
+        # let: expanded here; the engine's hash-consing shares the copies
         name = self.dummy_name()
         self.expect(",")
         bound = self.expr()
@@ -652,7 +640,7 @@ class _Parser:
         body = self.expr()
         self.scopes.pop()
         self.expect(")")
-        return Let(name, bound, body)
+        return substitute(body, {name: bound})
 
 
 def parse(text: str, env: Env) -> Expr:
@@ -740,8 +728,6 @@ def to_text(e: Expr) -> str:
         if e.seed is None:
             return f"rootof({e.dummy}, {to_text(e.body)})"
         return f"rootof({e.dummy}, {to_text(e.body)}, {_fmt_seed(e.seed)})"
-    if isinstance(e, Let):
-        return f"let({e.name}, {to_text(e.bound)}, {to_text(e.body)})"
     raise ExprError(f"cannot print {e!r}")
 
 
@@ -813,7 +799,7 @@ def _subst_binder(e, subs: dict, repl_free: frozenset):
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to the named variable.
     Integrals follow the full variable-limit rule; rootof uses implicit
-    differentiation; let differentiates through the binding."""
+    differentiation."""
     return _diff(e, var, {})
 
 
@@ -923,13 +909,6 @@ def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
         num = substitute(dv, sub)
         den = substitute(dz, sub)
         return Neg(Div(num, den))
-    if isinstance(e, Let):
-        dbody = _diff(e.body, var, memo)
-        db = _diff(e.bound, var, memo)
-        if is_const(db, 0):
-            return Let(e.name, e.bound, dbody)
-        dn = _diff(e.body, e.name, memo)
-        return Let(e.name, e.bound, _sum([dbody, _prod([dn, db])]))
     raise ExprError(f"cannot differentiate {e!r}")
 
 
@@ -1055,13 +1034,6 @@ def _simp_top(e: Expr) -> Expr:
                 r = int(v.numerator) ** 0.5
                 if int(r) ** 2 == v.numerator:
                     return Const(int(r))
-        return e
-    if isinstance(e, Let):
-        # a binding whose body ignores it, or binds a leaf, can inline
-        if e.name not in e.body._free:
-            return e.body
-        if isinstance(e.bound, (Const, Var, Param)):
-            return substitute(e.body, {e.name: e.bound})
         return e
     return e
 

@@ -13,10 +13,13 @@ them leave every output bit as it was:
 * Equal subtrees are evaluated once.  Every tree the engine evaluates (the
   argument of eval_batch, a root body, the symbolic derivatives of root
   bodies and integrands) is hash-consed on first use, so structurally
-  equal subtrees become one object, which the id-keyed memo evaluates once
-  per scope.  A node's value depends only on the node, the environment and
-  the batch, and each memo covers one of each.  RootOf nodes are never
-  merged: each keeps its own root-seed cache entry.
+  equal subtrees become one object, which the id-keyed memo evaluates once.
+  A node's value depends only on the node, the environment and the batch,
+  and there is one memo per environment: the top-level call, each
+  integrand callback and each root-body evaluation make their own.  This
+  is the language's only sharing: the parser expands `let`, and the copies
+  of its bound value are one object here.  RootOf nodes are never merged:
+  each keeps its own root-seed cache entry.
 * Scenario constants stay width 1.  A subtree with no free name bound in
   the current environment (only constants, parameters and base points) and
   no integral or root inside has the same value in every column.  Inside
@@ -24,8 +27,8 @@ them leave every output bit as it was:
   top-level context and broadcast by numpy, instead of a full-width jet
   rebuilt on every panel batch or root-body call.  The top level
   evaluates its tree once and hoists nothing.  Results that leave a
-  node's own arithmetic (integral limits, integrand and root-body values,
-  let-bound values) are copied out to full width.
+  node's own arithmetic (integral limits, integrand and root-body values)
+  are copied out to full width.
 * Leaf integrands are evaluated in slices.  An integrand with no integral
   or root inside computes each quadrature node on its own, so its callback
   takes the round's panels _LEAF_SLICE // 15 at a time: it builds their
@@ -171,7 +174,8 @@ _canon: Dict[tuple, X.Expr] = {}
 
 def _intern(e: X.Expr) -> X.Expr:
     """e rebuilt bottom-up so that structurally equal subtrees are one
-    object, which the id-keyed memo of _ev then evaluates once per scope.
+    object, which the id-keyed memo of _ev then evaluates once per
+    environment.
     A RootOf is returned as it is, body and all: root_cache is keyed by
     its identity, and two equal roots in different callback scopes must
     keep their own warm-start seeds."""
@@ -334,12 +338,6 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return _ev_integral(e, env, ctx, n, memo)
     if isinstance(e, X.RootOf):
         return _ev_rootof(e, env, ctx, n, memo)
-    if isinstance(e, X.Let):
-        bound = _widen(_ev(e.bound, env, ctx, n, memo), n)
-        env2 = dict(env)
-        env2[e.name] = bound
-        # fresh memo: the body sees a different environment
-        return _ev(e.body, env2, ctx, n, {})
     raise EvalError(f"cannot evaluate node {type(e).__name__}")
 
 

@@ -731,13 +731,14 @@ def verify_catalog(
     ids: Optional[List[str]] = None,
     **kw,
 ) -> Iterator[VerificationReport]:
-    """Verify several families (default: the whole catalog) in a thread
-    pool with one worker per core.  Reports are yielded in the order the
-    ids were given, each as soon as it and the ones before it are done."""
+    """Verify several families (ids None: the whole catalog; an empty list:
+    none) in a thread pool with one worker per core.  Reports are yielded
+    in the order the ids were given, each as soon as it and the ones before
+    it are done."""
     # imported here: at module level it adds 10-15 ms to `import pdegensol`
     from concurrent import futures
 
-    ids = list(ids) if ids else family_ids()
-    workers = min(len(ids), os.cpu_count() or 1)
+    ids = family_ids() if ids is None else list(ids)
+    workers = max(1, min(len(ids), os.cpu_count() or 1))
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
         yield from ex.map(lambda fid: verify_family(fid, **kw), ids)

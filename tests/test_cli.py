@@ -231,6 +231,35 @@ def test_verify_nonfinite_input_exit_4(capsys, monkeypatch, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _no_work(*a, **kw):
+    raise AssertionError("worked before checking the output path")
+
+
+def test_verify_missing_json_dir_exit_4_before_any_work(tmp_path, capsys,
+                                                        monkeypatch):
+    # a missing directory is found before a family runs, not after all do
+    import pdegensol.verifier as verifier
+
+    monkeypatch.setattr(verifier, "verify_family", _no_work)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "4.4", "3.7", "--json", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == (f"error: output directory {str(out.parent)!r} "
+                   "does not exist\n")
+
+
+def test_sample_missing_out_dir_exit_4_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "solution_values", _no_work)
+    out = tmp_path / "missing" / "grid.csv"
+    assert main(["sample", "3.8", "-o", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == (f"error: output directory {str(out.parent)!r} "
+                   "does not exist\n")
+
+
 def _sample_stdout(prelude):
     argv = ["sample", "3.8", "--grid", "t=0.2:1.2:3", "--grid",
             "x=0.2:1.2:3", "--seed", "1"]

@@ -452,8 +452,10 @@ def test_hoisting_bit_identical_on_root_body(k):
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
 def test_hoisting_bit_identical_on_let(k):
+    # 5.2's let-bound square root is, once expanded, a parameter-only
+    # subtree inside its integrands
     fam, scn = _draw("5.2")
-    assert isinstance(fam.solution, X.Let)
+    assert "let(" in fam.sol_text
     iset = _isets(fam.variables)[k]
     rs = np.random.default_rng(5)
     n = 3

@@ -120,6 +120,17 @@ def test_let_derivative_respects_binding():
 # --- substitution ---------------------------------------------------------
 
 
+def test_let_expands_without_capture():
+    # s := t under a binder of t: the integral's dummy is renamed, so the
+    # outer t stays free and the value is t*x^2/2 (p0 = 0)    [DERIVED]
+    e = rt("let(s, t, int(t, base(p0), x, s*t))")
+    assert e.dummy != "t"
+    assert e.free == {"t", "x"}
+    hand = rt("int(u, base(p0), x, t*u)")
+    assert _val(e) == pytest.approx(_val(hand), rel=1e-14)
+    assert _val(e, t=0.4, x=0.7) == pytest.approx(0.4 * 0.7**2 / 2, rel=1e-12)
+
+
 def test_substitute_basic():
     e = rt("x + a*x")
     s = substitute(e, {"x": rt("t^2")})

@@ -17,7 +17,6 @@ from pdegensol.expr_core import (
     Expr,
     FuncApp,
     Integral,
-    Let,
     Mul,
     Neg,
     Param,
@@ -125,9 +124,15 @@ def test_rootof_syntax():
 
 
 def test_let_syntax():
-    e = rt("let(s, a + b, s*s)")
-    assert isinstance(e, Let)
-    assert "s" not in e.free
+    # let is expanded by the parser: no tree holds a binding, and the
+    # bound name shadows a variable of the same name in the body alone
+    e = rt("let(x, t + 1, x^2 - x*t)")
+    assert e == rt("(t + 1)^2 - (t + 1)*t")
+    assert e.free == {"t"}
+
+
+def test_let_expands_to_its_body():
+    assert rt("let(s, a + b, s*s)") == rt("(a + b)*(a + b)")
 
 
 def test_nested_binders_shadowing():
@@ -265,14 +270,14 @@ def test_every_node_kind_is_arithmetic_or_leaf_or_binder():
     # the engine evaluates every arithmetic node through one table, and so
     # checks its causes in one place; only leaves and binders stay outside
     concrete = set(_subclasses(Expr)) - {_Unary}
-    others = {Const, Var, Param, BasePoint, Integral, RootOf, Let}
+    others = {Const, Var, Param, BasePoint, Integral, RootOf}
     assert set(engine._ARITH).isdisjoint(others)
     assert set(engine._ARITH) | others == concrete
 
 
 def test_binders_bind_their_name_in_their_scope_only():
     binders = {c for c in _subclasses(Expr) if c._binds}
-    assert binders == {Integral, RootOf, Let}
+    assert binders == {Integral, RootOf}
     for cls in binders:
         name_field, scope = cls._binds
         assert name_field != scope
@@ -281,6 +286,4 @@ def test_binders_bind_their_name_in_their_scope_only():
     x = Var("x")
     assert Integral("x", BasePoint("x"), x, x).free == {"x"}
     assert Integral("x", BasePoint("x"), Var("t"), x).free == {"t"}
-    assert Let("x", x, x).free == {"x"}
-    assert Let("x", Var("t"), x).free == {"t"}
     assert RootOf("x", Add([x, Var("t")]), 1.0).free == {"t"}

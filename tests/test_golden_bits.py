@@ -1,16 +1,19 @@
 """Golden bits: the float64 patterns `pdegensol sample` prints for 4.4 and
 3.8 on a 3x3 grid at seed 1 and for 3.8 on its default 5x5 grid at seed 7,
-and the digest of one `pdegensol verify --json` report.
+and the digests of two `pdegensol verify --json` reports.
 
 These pin the last bit of the deepest nest (4.4, five integrals) and of a
 root-bearing family (3.8) through the whole CLI path, so a change meant to
 be bit-identical (a faster gather, a copy saved) is caught here if it moves
 anything.  3.8 at seed 7 runs into the quadrature's per-column panel cap
-while it solves its roots; the verify report covers root solving with
-derivative jets, the degenerate-root test, the evaluation guards and
-variable-limit integrals.  All of them run the engine's limits at their
-real values.  Re-record them only in a change that moves numerics on
-purpose (ROADMAP item 3 onward), and say so in CHANGES.md."""
+while it solves its roots; the first verify report covers root solving
+with derivative jets, the degenerate-root test, the evaluation guards and
+variable-limit integrals.  Between them the two reports cover the four
+families whose solutions abbreviate a square root with `let`, which the
+parser expands: 5.2 in the first, 3.5, 5.1 and 7.2 in the second.  All
+of them run the engine's limits at their real values.  Re-record them
+only in a change that moves numerics on purpose (ROADMAP item 3 onward),
+and say so in CHANGES.md."""
 
 import contextlib
 import csv
@@ -53,6 +56,10 @@ VERIFY_ARGV = ["verify", "3.10", "5.2", "--scenarios", "1", "--points", "4",
                "--seed", "1", "--json"]
 VERIFY_SHA256 = \
     "d6761ec6e944a8eff581fb5385f7e55f4a4df56e78636785a392af550f547c89"
+VERIFY_LET_ARGV = ["verify", "3.5", "5.1", "7.2", "--scenarios", "1",
+                   "--points", "4", "--seed", "1", "--json"]
+VERIFY_LET_SHA256 = \
+    "610c0006474187ce49d31c640fa4d2e3b02147595b1a04b7de08297a628f57aa"
 
 
 def _stdout(argv) -> str:
@@ -84,3 +91,8 @@ def test_sample_bits_at_panel_cap():
 def test_verify_report_digest():
     text = _stdout(VERIFY_ARGV)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
+
+
+def test_verify_let_report_digest():
+    text = _stdout(VERIFY_LET_ARGV)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_LET_SHA256

@@ -440,6 +440,15 @@ def test_verify_catalog_streams_reports(monkeypatch):
     assert got == ids
 
 
+def test_verify_catalog_of_no_ids_verifies_nothing(monkeypatch):
+    # only None means the whole catalog
+    seen = []
+    monkeypatch.setattr(verifier, "verify_family",
+                        lambda fid, **kw: seen.append(fid))
+    assert list(verify_catalog([])) == []
+    assert seen == []
+
+
 def _one_record_family(pde, sol):
     rec = next(_parse_records(
         f"[probe]\nvars: t x\npde: {pde}\nsol: {sol}\n"))
