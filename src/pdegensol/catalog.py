@@ -175,12 +175,13 @@ def _collect_base_names(e: Expr) -> tuple[str, ...]:
 
 
 def _integral_depth(e: Expr) -> int:
-    best = 0
-    for n in walk(e):
-        if isinstance(n, Integral):
-            d = 1 + _integral_depth(n.integrand)
-            best = max(best, d)
-    return best
+    """The deepest nesting of integrals in e, in one pass.  An integral's
+    limits count at its own level: an integral in a limit is not inside
+    the integral whose limit it is."""
+    if isinstance(e, Integral):
+        return max(1 + _integral_depth(e.integrand),
+                   _integral_depth(e.lower), _integral_depth(e.upper))
+    return max(map(_integral_depth, e.children()), default=0)
 
 
 def _parse_records(text: str):

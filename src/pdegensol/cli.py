@@ -12,8 +12,9 @@ command line argparse rejects (an unknown option, a missing or malformed
 value), 3 any INDETERMINATE (and no FAIL), 4 an argument argparse accepts
 but the command rejects (a bad --set or --grid, a negative seed), an I/O
 error or an evaluation error (EvalError: a malformed tree, an unbound
-name, the nesting limit).  An output file whose directory is missing or
-not writable exits 4 before any work; the file is written at the end.
+name, the nesting limit).  An output path that is a directory, or whose
+directory is missing or not writable, exits 4 before any work; the file
+is written at the end.
 
 The command line keeps freed memory in its process for reuse (glibc only,
 through mallopt; elsewhere nothing changes).  By default glibc hands each
@@ -174,8 +175,11 @@ def _cmd_show(args) -> int:
 
 
 def _check_out_dir(path) -> None:
-    """Raise OSError unless the directory path would be written in exists
-    and is writable, so a bad path fails before the work, not after it."""
+    """Raise OSError unless path can be written as a file: it is not a
+    directory, and the directory it would be written in exists and is
+    writable.  So a bad path fails before the work, not after it."""
+    if Path(path).is_dir():
+        raise OSError(f"output path {str(path)!r} is a directory")
     d = Path(path).parent
     if not d.is_dir():
         raise OSError(f"output directory {str(d)!r} does not exist")
@@ -293,6 +297,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     if args.out:
         _check_out_dir(args.out)
+        _check_out_dir(Path(args.out).with_suffix(".scenario.json"))
     scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
 
     mesh = np.meshgrid(*axes, indexing="ij")

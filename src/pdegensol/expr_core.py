@@ -91,7 +91,10 @@ class Expr:
 
     @property
     def free(self) -> frozenset:
-        """Free names: variables and unbound dummies (not parameters)."""
+        """Free names: variables, unbound dummies and parameters.  A
+        parameter counts (Param._adjust_free), so that substitution can
+        prune subtrees by free name: parse("a*x", env).free is {"a", "x"}
+        when a is a parameter."""
         return self._free
 
 

@@ -29,15 +29,19 @@ them leave every output bit as it was:
   evaluates its tree once and hoists nothing.  Results that leave a
   node's own arithmetic (integral limits, integrand and root-body values)
   are copied out to full width.
-* Leaf integrands are evaluated in slices.  An integrand with no integral
-  or root inside computes each quadrature node on its own, so its callback
-  takes the round's panels _LEAF_SLICE // 15 at a time: it builds their
-  nodes straight into the dummy's jet, gathers each bound name once per
-  panel for its 15 nodes, and writes into one output array; each slice's
-  temporaries stay in the cache.  Other integrands are evaluated whole:
-  the row sums of the inner quadrature and the seeds of an implicit root
-  both depend on how many columns share a call, so slicing them would
-  move output bits.
+* Leaf integrands are evaluated and reduced in slices.  An integrand with
+  no integral or root inside computes each quadrature node on its own, so
+  its callback takes a round of two slices or more 2184 panels at a time
+  (_leaf_slices: whole 4-panel blocks, the last slice also taking the
+  remainder): it builds their nodes straight into the dummy's jet,
+  gathers each bound name once per panel for its 15 nodes, and hands the
+  slice's values to Panels.take, which reduces them to the round's
+  estimates while they are in the cache.  No node-length array outlives
+  its slice, and the matmuls give every panel the bits of one
+  whole-round product.  A smaller round, and every other integrand, is
+  returned whole: the row sums of an inner quadrature and the seeds of
+  an implicit root both depend on how many columns share a call, so
+  slicing them would move output bits.
 * A root's column constants are evaluated once per column set.  The
   subtrees of a root body and of its z-derivative that do not depend on
   the root's dummy and hold no root take the same value in every body
@@ -61,7 +65,7 @@ configuration (quadrature and root tolerances) every evaluation runs at."""
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -86,8 +90,19 @@ TAN_GUARD = 1e-8
 CFG = NumericConfig()
 
 # nodes per slice of a leaf-integrand callback, rounded down to whole
-# 15-node panels: 8 K was slower on 4.4's samples, 16 K to 128 K about equal
+# 4-panel blocks (2184 panels): 8 K was slower on 4.4's samples, 16 K to
+# 128 K about equal
 _LEAF_SLICE = 32768
+
+
+def _leaf_slices(npan: int) -> list:
+    """The edges of a leaf-integrand round of npan panels: slices of a
+    whole number of 4-panel blocks, the last one also taking the
+    remainder, so that no slice is short.  Reduced slice by slice, such a
+    round gives the bits of the whole-round reduction (see quadrature)."""
+    step = max(4, _LEAF_SLICE // 60 * 4)
+    return [*range(0, max(npan - step, 0) + 1, step), npan]
+
 
 # elementary function -> (its jet function, the context guard that function
 # takes, or None).  A guarded function's mask marks the columns outside its
@@ -274,6 +289,9 @@ def _ev(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     got = memo.get(id(e))
     if got is not None:
         return got
+    # _free holds parameter names too.  The test hoists every
+    # parameter-only subtree because no environment binds a parameter's
+    # name: no catalog variable or dummy is named like a parameter
     if ctx.hoist and e._free.isdisjoint(env) and _is_leaf(e):
         r = _hoisted(e, env, ctx, n, memo)
     else:
@@ -453,16 +471,14 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         ienv[e.dummy] = JetBatch(iset, dummy)
         return _ev(e.integrand, ienv, subctx, dummy.shape[1], {})
 
-    def integrand_eval(panels: Panels, cols: np.ndarray) -> np.ndarray:
-        m, npan = panels.size, cols.size
-        step = max(1, _LEAF_SLICE // 15)
-        if not leaf or npan <= step:
-            return _widen(at_nodes(panels, 0, npan), m).data
-        out = np.empty((iset.K, m))
-        for lo in range(0, npan, step):
-            hi = min(lo + step, npan)
-            out[:, 15 * lo:15 * hi] = at_nodes(panels, lo, hi).data
-        return out
+    def integrand_eval(panels: Panels, cols: np.ndarray) -> Optional[np.ndarray]:
+        # one slice is returned, several are handed to panels.take in turn
+        edges = _leaf_slices(cols.size) if leaf else [0, cols.size]
+        if len(edges) == 2:
+            return _widen(at_nodes(panels, 0, cols.size), panels.size).data
+        for lo, hi in zip(edges, edges[1:]):
+            panels.take(lo, hi, _widen(at_nodes(panels, lo, hi), 15 * (hi - lo)).data)
+        return None
 
     def on_noconv(mask):
         ctx.record("quad", mask, e)

@@ -7,16 +7,27 @@ large array evaluations rather than deep scalar recursion.  The evaluator
 receives the round as Panels (centres, half-widths and owner columns), not
 as a node array: it builds the nodes itself, all at once or a range of
 panels at a time, and reads per-column data once per panel, so neither
-side holds a node-length copy of the owners.  The rest of a round works at
-panel length, in place where the operations and operands stay the same,
-apart from the two reductions I15 and I7, which stay whole-batch matrix
-products written exactly as below: their last bits depend on how they are
-computed, and I7 decides convergence.  The layout of I7's operand is part
-of that: gauss_rows copies the 7 Gauss columns a block of panels at a time
-into the very buffer layout numpy's fancy gather would allocate, because
-the matmul picks its kernel from the layout and a C-ordered copy of the
-same values gives other bits.  The layout of the result is pinned too (see
-adaptive_gk_batched).
+side holds a node-length copy of the owners.  It returns its values for
+the whole round, or hands them to Panels.take a slice at a time; take
+reduces each slice to the panel-length estimates I15 and |I15 - I7| while
+its values are in the cache, so a sliced round holds no node-length array.
+The rest of a round works at panel length, in place where the operations
+and operands stay the same.
+
+The two reductions I15 and I7 are matrix products whose last bits depend
+on how they are computed, and I7 decides convergence.  So a round is
+reduced whole or in slices of whole 4-panel blocks, the last slice also
+taking the remainder: each panel then gets the bits of one whole-round
+product.  Measured with numpy 2.4 and OpenBLAS 0.3.31 (Haswell kernels),
+slices of 4, 8, ..., 2184 panels did so, while slices of 1, 2, 3, 7 or
+2183 panels, or a trailing slice of 1-3 panels, moved bits: the kernels
+evidently take rows in blocks of 4 with a separate tail.
+test_sliced_round_matches_whole_round pins the rule.  The layout of I7's
+operand counts too: gauss_rows copies the 7 Gauss columns a block of
+panels at a time into the very buffer layout numpy's fancy gather would
+allocate, because the matmul picks its kernel from the layout and a
+C-ordered copy of the same values gives other bits.  The layout of the
+result is pinned too (see adaptive_gk_batched).
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
@@ -112,7 +123,10 @@ class Panels:
     owner columns cols, one entry per panel.  size is the node count, 15
     per panel.  Nodes are built on request for any range of panels, so a
     caller can hold a slice of them at a time; a panel's 15 nodes all
-    belong to its owner column, so per-column data is gathered per panel."""
+    belong to its owner column, so per-column data is gathered per panel.
+    take reduces the integrand values of a range of panels into the
+    round's estimates i15 and err, (K, npan) each, and its bad mask, so
+    the values need not outlive their slice."""
 
     def __init__(self, mid: np.ndarray, half: np.ndarray, cols: np.ndarray):
         self.mid = mid
@@ -133,9 +147,43 @@ class Panels:
         xs += mid[:, None]
         return out
 
+    def take(self, lo: int, hi: int, vals: np.ndarray) -> None:
+        """Reduce vals, the integrand's (K, 15 * (hi - lo)) values at the
+        nodes of panels lo..hi: the Kronrod estimate I15, the error
+        estimate |I15 - I7| and whether a sample is not finite.  A round is
+        taken whole or in order, in slices of whole 4-panel blocks, the
+        last one also taking the remainder: the matmuls then give each
+        panel the bits of the whole-round product (see the module
+        docstring)."""
+        npan = self.cols.size
+        K = vals.shape[0]
+        vals = vals.reshape(K, hi - lo, 15)
+        if lo == 0:
+            self.i15 = np.empty((K, npan))
+            self.err = np.empty((K, npan))
+            self.bad = np.empty(npan, dtype=bool)
+        half = self.half[lo:hi]
+        i15, err, bad = self.i15[:, lo:hi], self.err[:, lo:hi], self.bad[lo:hi]
+        # non-finite samples make the estimates meaningless; the bad mask
+        # disposes of those columns, so silence the arithmetic
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.matmul(vals, WEIGHTS, out=i15)
+            i15 *= half
+            np.matmul(gauss_rows(vals), GAUSS_W, out=err)
+            err *= half
+            np.subtract(i15, err, out=err)
+            np.abs(err, out=err)
+        # every Kronrod weight is positive, so a NaN or infinite sample makes
+        # its panel's I15 non-finite; the exact test runs on those panels
+        # only, as finite samples can also overflow in the sum
+        np.isfinite(i15).all(axis=0, out=bad)
+        np.logical_not(bad, out=bad)
+        if bad.any():
+            bad[bad] = ~np.isfinite(vals[:, bad]).all(axis=(0, 2))
+
 
 def adaptive_gk_batched(
-    evalfn: Callable[[Panels, np.ndarray], np.ndarray],
+    evalfn: Callable[[Panels, np.ndarray], Optional[np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
     K: int,
@@ -146,7 +194,9 @@ def adaptive_gk_batched(
 
     Each round calls evalfn(panels, cols) once with the round's Panels,
     where cols[j] names the integral (column) that panel j belongs to; it
-    returns the integrand jets at panels.nodes(), shape (K, panels.size).
+    returns the integrand jets at panels.nodes(), shape (K, panels.size),
+    or hands them to panels.take in slices that cover the round in order
+    and returns None.
     Returns the integrals, shape (K, N), as the transpose of an (N, K)
     array: F-ordered when K > 1.  That layout is part of the contract:
     numpy sums pairwise along a contiguous axis and in sequence along a
@@ -203,25 +253,14 @@ def adaptive_gk_batched(
         half *= 0.5
         mid = ia + ib
         mid *= 0.5
-        vals = evalfn(Panels(mid, half, cols), cols).reshape(K, cols.size, 15)
-        # non-finite samples make the estimates meaningless; the bad mask
-        # disposes of those columns, so silence the arithmetic
-        with np.errstate(invalid="ignore", over="ignore"):
-            I15 = vals @ WEIGHTS
-            I15 *= half
-            errs = gauss_rows(vals) @ GAUSS_W
-            errs *= half
-            np.subtract(I15, errs, out=errs)
-            np.abs(errs, out=errs)
-        # every Kronrod weight is positive, so a NaN or infinite sample makes
-        # its column's I15 non-finite; the exact test runs on those columns
-        # only, as finite samples can also overflow in the sum
-        bad = ~np.isfinite(I15).all(axis=0)
-        if bad.any():
-            bad[bad] = ~np.isfinite(vals[:, bad]).all(axis=(0, 2))
-        # the round's largest array: free it before the next round's
-        # integrand call allocates its own
-        del vals
+        panels = Panels(mid, half, cols)
+        vals = evalfn(panels, cols)
+        if vals is not None:
+            panels.take(0, cols.size, vals)
+            # the round's largest array: free it before the next round's
+            # integrand call allocates its own
+            del vals
+        I15, errs, bad = panels.i15, panels.err, panels.bad
         # total is all zeros in round 0, and 0 + |I15| is |I15|
         ref = np.abs(I15)
         if depth:

@@ -6,17 +6,19 @@ The tier-1 run collects test_*.py only, so these run on request:
 
 They time the kernels of the integrand and root-body hot loop on fixed
 inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
-leaf-integrand callback on 1e6 quadrature nodes, one adaptive quadrature
-of 4.4's innermost integral over about 1e6 nodes, one driver round of
-1.8e6 panels with a trivial integrand, one batch of 3.7's root body, one
-value-only solve of 5.2's root and one evaluation of 5.2's solution jets,
-both on 20 points.  Two tooling cases run the command line in a fresh
-interpreter.  One runs `pdegensol sample 3.8` (5x5, seed 1) and records
-the child's minor page faults and system time in extra_info: what the
-allocator costs a command-line run outside numpy.  The other runs
-`pdegensol verify 4.4 --scenarios 1 --points 2 --seed 1` and records the
-child's own peak RSS and the wall time: the working set of the deepest
-solution's residual pass and cross-check.
+leaf-integrand callback with its slice reductions on 1e6 quadrature
+nodes, one adaptive quadrature of 4.4's innermost integral over about
+1e6 nodes, one driver round of 1.8e6 panels with a trivial integrand, one
+batch of 3.7's root body, one value-only solve of 5.2's root and one
+evaluation of 5.2's solution jets, both on 20 points.  Three tooling
+cases run the command line in a fresh interpreter.  One runs
+`pdegensol sample 3.8` (5x5, seed 1) and records the child's minor page
+faults and system time in extra_info: what the allocator costs a
+command-line run outside numpy.  Two record the child's own peak RSS and
+the wall time: `pdegensol verify 4.4 --scenarios 1 --points 2 --seed 1`,
+the working set of the deepest solution's residual pass and
+cross-check, and `pdegensol sample 4.4 --grid t=0.2:1.2:6 --grid
+x=0.2:1.2:6 --seed 1`, the largest single engine call.
 """
 
 import os
@@ -79,8 +81,10 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
     rs = np.random.default_rng(3)
     panels = Panels(rs.uniform(0.2, 0.8, npan), np.full(npan, 0.1),
                     np.sort(rs.integers(0, cols, npan)))
-    out = benchmark(integrand_eval, panels, panels.cols)
-    assert out.shape == (iset.K, panels.size) and np.isfinite(out).all()
+    # the round is larger than two slices: the callback hands its slices
+    # to panels.take and returns nothing
+    assert benchmark(integrand_eval, panels, panels.cols) is None
+    assert panels.i15.shape == (iset.K, npan) and np.isfinite(panels.i15).all()
 
 
 def test_leaf_quadrature_44(benchmark, monkeypatch):
@@ -232,15 +236,15 @@ def test_sample_38_process(benchmark):
                                 sys_s=statistics.median(sys_s))
 
 
-def test_verify_44_peak_rss(benchmark):
-    # one scenario of 4.4 at 2 points through the command line: the child
-    # prints its own peak RSS (RUSAGE_SELF, KiB on Linux) after main
-    # returns, so the peak is the run's and no earlier child's
-    argv = ["verify", "4.4", "--scenarios", "1", "--points", "2",
-            "--seed", "1"]
-    code = ("import resource, sys; from pdegensol import cli; "
+def _peak_rss_run(benchmark, argv, rounds):
+    # the child prints its own peak RSS (VmHWM, KiB; Linux only) after
+    # main returns, so the peak is the run's and no earlier child's.  Not
+    # ru_maxrss: Linux carries it across fork and exec, so a child would
+    # report this process's peak whenever that is higher
+    code = ("import sys; from pdegensol import cli; "
             f"rc = cli.main({argv!r}); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:'))); "
             "sys.exit(rc)")
     peaks, walls = [], []
 
@@ -252,6 +256,21 @@ def test_verify_44_peak_rss(benchmark):
         peaks.append(int(proc.stdout.split()[-1]) / 1024)
         return proc.returncode
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) == 0
+    assert benchmark.pedantic(run, rounds=rounds, iterations=1) == 0
     benchmark.extra_info.update(peak_rss_mb=statistics.median(peaks),
                                 wall_s=statistics.median(walls))
+
+
+def test_verify_44_peak_rss(benchmark):
+    # one scenario of 4.4 at 2 points through the command line: the
+    # working set of the deepest solution's residual pass and cross-check
+    _peak_rss_run(benchmark, ["verify", "4.4", "--scenarios", "1",
+                              "--points", "2", "--seed", "1"], 3)
+
+
+def test_sample_44_peak_rss(benchmark):
+    # 4.4's values on a 6x6 grid through the command line: one value-only
+    # call of 36 points, the largest single engine call, whose depth-5
+    # leaf rounds reach about 1.8e6 panels
+    _peak_rss_run(benchmark, ["sample", "4.4", "--grid", "t=0.2:1.2:6",
+                              "--grid", "x=0.2:1.2:6", "--seed", "1"], 3)

@@ -10,13 +10,15 @@ import pytest
 from pdegensol.catalog import (
     CatalogError,
     PdeFamily,
+    _integral_depth,
     _parse_records,
     _suffix_orders,
     family_ids,
     get_family,
     load_catalog,
 )
-from pdegensol.expr_core import to_text
+from pdegensol.expr_core import (Env, Expr, Integral, Param, RootOf, Var,
+                                 parse, to_text, walk)
 
 ALL_IDS = [
     "3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8", "3.9",
@@ -52,6 +54,61 @@ def test_structure_frozen(fid):
     assert len(fam.pde_terms) == nterms
     assert fam.order == order
     assert fam.sol_depth == depth
+
+
+def _depth_by_walk(e):
+    # the definition: 1 + the depth of an integral's integrand, maximised
+    # over every integral in e, those in limits included
+    return max((1 + _depth_by_walk(n.integrand) for n in walk(e)
+                if isinstance(n, Integral)), default=0)
+
+
+def test_integral_depth_in_one_pass():
+    for fid in ALL_IDS:
+        sol = get_family(fid).solution
+        assert _integral_depth(sol) == _depth_by_walk(sol) == STRUCTURE[fid][2]
+    # the lower limit of the middle integral holds a depth-2 nest: it counts
+    # at the middle integral's level, so the whole nest is 3 deep, not 4
+    e = parse("int(s, base(s), x, int(u, int(v, base(v), s, "
+              "int(w, base(w), v, w)), s, int(r, base(r), u, r*u)))",
+              Env(variables=("x",)))
+    assert _integral_depth(e) == _depth_by_walk(e) == 3
+    assert _integral_depth(e.integrand.lower) == 2
+
+
+def _free_names(e, bound=frozenset()):
+    # unbound variable and dummy names, and parameter names
+    if isinstance(e, Var):
+        return {e.name} - bound
+    if isinstance(e, Param):
+        return {e.name}
+    names = set()
+    for f in e._fields:
+        scope = bound
+        if e._binds and f == e._binds[1]:
+            scope = bound | {getattr(e, e._binds[0])}
+        v = getattr(e, f)
+        for c in v if isinstance(v, tuple) else (v,):
+            if isinstance(c, Expr):
+                names |= _free_names(c, scope)
+    return names
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_free_names_hold_parameters_and_none_is_rebound(fid):
+    # Expr.free counts parameters; the engine's hoisting test hoists every
+    # parameter-only subtree only because no environment binds a
+    # parameter's name: no variable or dummy is named like a parameter
+    fam = get_family(fid)
+    for tree in (fam.solution, fam.pde):
+        assert tree.free == _free_names(tree)
+        params = {n.name for n in walk(tree) if isinstance(n, Param)}
+        assert params <= tree.free & set(fam.parameters)
+        dummies = {n.dummy for n in walk(tree)
+                   if isinstance(n, (Integral, RootOf))}
+        assert (dummies | set(fam.variables)).isdisjoint(fam.parameters)
+    env = Env(variables=("x",), parameters=("a",))
+    assert parse("a*x", env).free == {"a", "x"}
 
 
 @pytest.mark.parametrize("fid", ALL_IDS)

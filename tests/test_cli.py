@@ -260,6 +260,32 @@ def test_sample_missing_out_dir_exit_4_before_any_work(tmp_path, capsys,
                    "does not exist\n")
 
 
+def test_verify_json_path_a_directory_exit_4_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    import pdegensol.verifier as verifier
+
+    monkeypatch.setattr(verifier, "verify_family", _no_work)
+    assert main(["verify", "4.4", "--scenarios", "1", "--points", "4",
+                 "--json", str(tmp_path)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: output path {str(tmp_path)!r} is a directory\n"
+
+
+@pytest.mark.parametrize("name", ["grid.csv", "grid.scenario.json"])
+def test_sample_out_path_a_directory_exit_4_before_any_work(
+        tmp_path, capsys, monkeypatch, name):
+    # the CSV path, or the sidecar path derived from it, is a directory
+    monkeypatch.setattr(cli, "solution_values", _no_work)
+    (tmp_path / name).mkdir()
+    assert main(["sample", "4.4", "--grid", "t=0.2:1.2:6", "--grid",
+                 "x=0.2:1.2:6", "-o", str(tmp_path / "grid.csv")]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == (f"error: output path {str(tmp_path / name)!r} "
+                   "is a directory\n")
+
+
 def _sample_stdout(prelude):
     argv = ["sample", "3.8", "--grid", "t=0.2:1.2:3", "--grid",
             "x=0.2:1.2:3", "--seed", "1"]

@@ -1,11 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature against known integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pdegensol.numeric import NumericConfig, quadrature
+from pdegensol.expr_core import Env, parse
+from pdegensol.numeric import (EvalContext, IndexSet, JetBatch,
+                               NumericConfig, engine, eval_batch, quadrature)
 from pdegensol.numeric.quadrature import (GATHER_ROWS, GAUSS_IDX, GAUSS_W,
                                           NODES, WEIGHTS, Panels,
                                           adaptive_gk_batched, gauss_rows)
@@ -272,3 +275,80 @@ def test_gauss_rows_is_the_fancy_gather(K, n):
         assert got.shape == want.shape and got.strides == want.strides
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(got @ GAUSS_W), _bits(want @ GAUSS_W))
+
+
+# ---------------------------------------------------------------------------
+# A leaf integrand hands its round to Panels.take in slices
+# (engine._leaf_slices): whole 4-panel blocks, the remainder in the last
+# slice.  Reduced so, each panel gets the bits of the whole-round matmuls.
+
+_STEP = engine._leaf_slices(10**6)[1]  # panels per slice
+
+
+def _round(K, npan, rs):
+    vals = rs.standard_normal((K, 15 * npan)) * 10.0 ** rs.integers(
+        -8, 8, (K, 15 * npan))
+    # a NaN, infinities of both signs, and finite samples that overflow
+    # in the weighted sum, in panels spread over the round
+    hit = rs.choice(npan, 4, replace=False)
+    vals[K - 1, 15 * hit[0] + 3] = np.nan
+    vals[0, 15 * hit[1] + 7] = np.inf
+    vals[K - 1, 15 * hit[2]] = -np.inf
+    vals[0, 15 * hit[3]:15 * hit[3] + 15] = 1.5e308
+    half = rs.uniform(1e-3, 1.0, npan)
+    return vals, Panels(rs.uniform(-1.0, 1.0, npan), half,
+                        np.arange(npan))
+
+
+@pytest.mark.parametrize("K", [1, 4, 6, 8])
+def test_sliced_round_matches_whole_round(K):
+    rs = np.random.default_rng(K)
+    for k in (1, 2, 5):
+        for r in (0, 1, 2, 3, 5, 7):
+            npan = k * _STEP + r
+            vals, panels = _round(K, npan, rs)
+            edges = engine._leaf_slices(npan)
+            assert len(edges) - 1 == k
+            for lo, hi in zip(edges, edges[1:]):
+                panels.take(lo, hi, vals[:, 15 * lo:15 * hi].copy())
+            # the whole-round reduction, as one product each
+            v = vals.reshape(K, npan, 15)
+            with np.errstate(invalid="ignore", over="ignore"):
+                i15 = (v @ WEIGHTS) * panels.half
+                i7 = (v[:, :, GAUSS_IDX] @ GAUSS_W) * panels.half
+                err = np.abs(i15 - i7)
+            bad = ~np.isfinite(v).all(axis=(0, 2))
+            assert bad.sum() == 3
+            assert np.array_equal(_bits(panels.i15), _bits(i15))
+            assert np.array_equal(_bits(panels.err), _bits(err))
+            assert np.array_equal(panels.bad, bad)
+
+
+def test_sliced_leaf_round_holds_no_node_length_array(scn_x, monkeypatch):
+    # one round of 10^5 panels of a leaf integrand, at K=1: the callback
+    # and its takes together peak below one (K, 15 * npan) array
+    callbacks = []
+
+    def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
+        callbacks.append(evalfn)
+        return np.zeros((K, lo.size))
+
+    monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
+    e = parse("int(s, base(p0), x, sin(s) * x)", Env(variables=("x",)))
+    iset = IndexSet(("x",), [(1,)]).value_only()
+    n = 50
+    env = {"x": JetBatch.variable(iset, "x", np.linspace(0.2, 1.2, n))}
+    eval_batch(e, env, EvalContext(iset, scn_x), n)
+    npan = 10**5
+    rs = np.random.default_rng(3)
+    panels = Panels(rs.uniform(0.0, 1.0, npan), rs.uniform(1e-3, 0.1, npan),
+                    np.sort(rs.integers(0, n, npan)))
+    tracemalloc.start()
+    try:
+        got = callbacks[0](panels, panels.cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is None and panels.i15.shape == (1, npan)
+    assert np.isfinite(panels.i15).all() and not panels.bad.any()
+    assert peak < 8 * 15 * npan
