@@ -3,8 +3,8 @@
     pdegensol list                  families and their shapes
     pdegensol show 3.7              one family in full
     pdegensol verify 3.1 3.2 ...    randomized verification (default: all),
-                                    one worker thread per core, each
-                                    family's line printed as it finishes
+                                    each family's line printed as it
+                                    finishes
     pdegensol sample 3.1 --grid t=0.2:1.2:9 --grid x=0.2:1.2:9 -o w.csv
 
 Exit codes: 0 all verified PASS, 1 any FAIL, 2 unknown family id or a
@@ -21,13 +21,14 @@ through mallopt; elsewhere nothing changes).  By default glibc hands each
 large freed block back to the kernel, so the next numpy temporary of the
 same size page-faults on fresh zeroed pages, and a `sample 3.8` run spent
 about a third of its wall time in the kernel.  main() therefore serves
-large blocks from the heap, never trims the heap's top, and lets the
-verify pool's threads share one arena.  The cost is that a run holds its
-peak heap until it exits: a few percent more peak RSS on a `sample` run,
-none on `verify all`.  Allocation placement changes no arithmetic, so
-every output is bit for bit the same.  `import pdegensol` leaves the
-allocator alone: a process-wide policy is the program's choice, not the
-library's.
+large blocks from the heap and never trims the heap's top.  The
+package's Python runs on the main thread, whose blocks come from the main
+arena, so the policy needs no arena setting.  The cost is that a run
+holds its peak heap until it exits: a few percent more peak RSS on a
+`sample` run, none on `verify all`.  Allocation placement changes no
+arithmetic, so every output is bit for bit the same.  `import pdegensol`
+leaves the allocator alone: a process-wide policy is the program's
+choice, not the library's.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # mallopt(3) parameters, from glibc's malloc.h
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _INT_MAX = 2**31 - 1
 
 
@@ -112,17 +112,15 @@ def _libc():
 
 def _keep_freed_memory() -> None:
     """Keep freed blocks in the process for reuse, where libc has mallopt:
-    blocks below 2 GiB come from the heap, not from mmap, the heap's top is
-    never trimmed, and all threads share the main arena (a thread's own
-    arena would still unmap its large blocks)."""
+    blocks below 2 GiB come from the heap, not from mmap, and the heap's
+    top is never trimmed."""
     mallopt = getattr(_libc(), "mallopt", None)
     if mallopt is None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     for param, value in ((_M_MMAP_THRESHOLD, _INT_MAX),
-                         (_M_TRIM_THRESHOLD, _INT_MAX),
-                         (_M_ARENA_MAX, 1)):
+                         (_M_TRIM_THRESHOLD, _INT_MAX)):
         mallopt(param, value)
 
 
@@ -298,6 +296,7 @@ def _cmd_sample(args) -> int:
     if args.out:
         _check_out_dir(args.out)
         _check_out_dir(Path(args.out).with_suffix(".scenario.json"))
+    # the scenario's own points are drawn last and go unused
     scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
 
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -57,10 +57,10 @@ sub-context of the evaluation adds to, so a sliced integrand counts what
 one whole-batch call would.  Every arithmetic node is evaluated through
 one table, _ARITH, and has its causes checked in one place, _ev_node.
 Module constants hold the engine's own limits: the poison guards
-DEN_GUARD, POS_GUARD and TAN_GUARD (scaled by a context's guard_scale),
-DEGENERATE_TOL for solved roots, NEST_LIMIT, which caps quadrature
-nesting with an error rather than a poisoned column, and CFG, the one
-configuration (quadrature and root tolerances) every evaluation runs at."""
+DEN_GUARD, POS_GUARD and TAN_GUARD, DEGENERATE_TOL for solved roots,
+NEST_LIMIT, which caps quadrature nesting with an error rather than a
+poisoned column, and CFG, the one configuration (quadrature and root
+tolerances) every evaluation runs at."""
 
 from __future__ import annotations
 
@@ -104,39 +104,29 @@ def _leaf_slices(npan: int) -> list:
     return [*range(0, max(npan - step, 0) + 1, step), npan]
 
 
-# elementary function -> (its jet function, the context guard that function
-# takes, or None).  A guarded function's mask marks the columns outside its
-# domain
-_UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, "pos_guard"),
-               X.Sqrt: (jb_sqrt, "pos_guard"), X.Sin: (jb_sin, None),
-               X.Cos: (jb_cos, None), X.Tan: (jb_tan, "tan_guard")}
+# elementary function -> (its jet function, the guard that function takes,
+# or None).  A guarded function's mask marks the columns outside its domain
+_UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, POS_GUARD),
+               X.Sqrt: (jb_sqrt, POS_GUARD), X.Sin: (jb_sin, None),
+               X.Cos: (jb_cos, None), X.Tan: (jb_tan, TAN_GUARD)}
 
 
 class EvalContext:
-    """Evaluation state: index set, scenario bindings, guard scale,
-    nesting depth, and the state that every sub-context of one evaluation
-    shares: the cause tally, the root-seed cache and the cache of width-1
-    scenario constants.  causes counts poisoned columns per (kind, node),
-    summed over every call that recorded them.  hoist is on in the
-    contexts of quadrature and root callbacks, which evaluate the same tree
-    many times, and off at the top level and inside a constant being
-    hoisted, which evaluate it once."""
+    """Evaluation state: index set, scenario bindings, nesting depth, and
+    the state that every sub-context of one evaluation shares: the cause
+    tally, the root-seed cache and the cache of width-1 scenario
+    constants.  causes counts poisoned columns per (kind, node), summed
+    over every call that recorded them.  hoist is on in the contexts of
+    quadrature and root callbacks, which evaluate the same tree many times,
+    and off at the top level and inside a constant being hoisted, which
+    evaluate it once."""
 
     hoist = False
     depth = 0
 
-    def __init__(
-        self,
-        iset: IndexSet,
-        scenario,
-        guard_scale: float = 1.0,
-    ):
+    def __init__(self, iset: IndexSet, scenario):
         self.iset = iset
         self.scenario = scenario
-        self.guard_scale = guard_scale
-        self.den_guard = DEN_GUARD * guard_scale
-        self.pos_guard = POS_GUARD * guard_scale
-        self.tan_guard = TAN_GUARD * guard_scale
         self.causes: Counter = Counter()
         self.root_cache: Dict[int, tuple] = {}
         self.hoisted: Dict[tuple, tuple] = {}
@@ -257,8 +247,9 @@ def _dummy_derivative(e, k: int) -> X.Expr:
 
 class _OverflowCount:
     """numpy's overflow callback while eval_batch runs: counts the ufunc
-    calls that overflowed.  Threads share it, so a count that moved is only
-    a reason to look for overflowed columns, never a finding."""
+    calls that overflowed.  It also moves for an overflow inside an
+    operand's evaluation, so a count that moved is only a reason to look
+    for overflowed columns, never a finding."""
 
     n = 0
 
@@ -309,7 +300,7 @@ def _hoisted(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     key = (id(e), ctx.iset)
     ent = ctx.hoisted.get(key)
     if ent is None or ent[0] is not e:
-        probe = EvalContext(ctx.iset, ctx.scenario, ctx.guard_scale)
+        probe = EvalContext(ctx.iset, ctx.scenario)
         jb = _ev_node(e, {}, probe, 1, {})
         if probe.causes or not np.isfinite(jb.data).all():
             jb = None
@@ -399,28 +390,28 @@ def _ev_mul(e: X.Mul, env, ctx: EvalContext, n: int, memo: dict):
 
 def _ev_div(e: X.Div, env, ctx: EvalContext, n: int, memo: dict):
     a = _ev(e.num, env, ctx, n, memo)
-    return jb_div(a, _ev(e.den, env, ctx, n, memo), ctx.den_guard)
+    return jb_div(a, _ev(e.den, env, ctx, n, memo), DEN_GUARD)
 
 
 def _ev_pow(e: X.Pow, env, ctx: EvalContext, n: int, memo: dict):
     base = _ev(e.base, env, ctx, n, memo)
     nexp = X.int_exponent(e.exponent)
     if nexp is not None:
-        return jb_powi(base, nexp, ctx.den_guard)
+        return jb_powi(base, nexp, DEN_GUARD)
     ejb = _ev(e.exponent, env, ctx, n, memo)
     if base.n < ejb.n:
         base = _widen(base, ejb.n)
     if not ejb.data[1:].any():
         # constant exponent (per column): real power, positive base
-        return jb_powc(base, ejb.data[0], ctx.pos_guard)
-    ln_b, bad = jb_ln(base, ctx.pos_guard)
+        return jb_powc(base, ejb.data[0], POS_GUARD)
+    ln_b, bad = jb_ln(base, POS_GUARD)
     return jb_exp(jb_mul(ejb, ln_b))[0], bad
 
 
 def _ev_unary(e: X._Unary, env, ctx: EvalContext, n: int, memo: dict):
     jet, guard = _UNARY_JETS[e.__class__]
     a = _ev(e.arg, env, ctx, n, memo)
-    return jet(a) if guard is None else jet(a, getattr(ctx, guard))
+    return jet(a) if guard is None else jet(a, guard)
 
 
 def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict):
@@ -571,7 +562,7 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
             ctx.record("degenerate", degen, e)
             Fz = JetBatch(iset, Fz.data.copy())
             Fz.data[:, degen] = np.nan
-        q, _ = jb_div(F, Fz, ctx.den_guard)
+        q, _ = jb_div(F, Fz, DEN_GUARD)
         z = jb_sub(z, q)
     return z
 

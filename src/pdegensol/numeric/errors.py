@@ -15,4 +15,4 @@ class NestLimitExceeded(EvalError):
 
 
 class SamplingExhausted(EvalError):
-    """Scenario sampling could not satisfy constraints and guards."""
+    """No scenario draw satisfied the family's admissibility predicate."""

@@ -7,6 +7,12 @@ residual.  A finite-difference pass over the raw solution values cross-checks
 the jet derivatives through an independent route, so a residual failure can be
 attributed to the catalog entry rather than to the evaluator.
 
+A scenario's draw evaluates nothing.  A point the solution or a PDE term
+cannot be evaluated at is replaced by a fresh draw, for up to
+MAX_RESAMPLE_ROUNDS rounds; a point still unevaluable after that makes its
+scenario eval_incomplete.  Families are verified one after another, on
+the calling thread.
+
 Verdicts: PASS (all residuals within tolerance and the cross-check agrees),
 FAIL (residuals exceed tolerance while the cross-check confirms the
 derivatives, both at the scenario's first points and where it failed),
@@ -20,7 +26,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -48,9 +53,6 @@ RESIDUAL_FLOOR = 1e-12
 MAX_DRAW_ATTEMPTS = 50
 # rounds of point replacement when individual points poison
 MAX_RESAMPLE_ROUNDS = 8
-# evaluation guards are widened by this factor during the pre-scan, so
-# accepted scenarios sit comfortably inside the admissible region
-PRESCAN_GUARD = 10.0
 # sample points and the default sample grid lie in this interval per axis
 SAMPLE_BOX = (0.2, 1.2)
 # points per scenario the finite-difference cross-check visits: the first
@@ -289,11 +291,11 @@ def _draw_points(rng: np.random.Generator, fam: PdeFamily,
     return rng.uniform(*SAMPLE_BOX, size=(n, len(fam.variables)))
 
 
-def solution_values(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
-                    guard_scale: float = 1.0) -> np.ndarray:
+def solution_values(fam: PdeFamily, scn: Scenario,
+                    pts: np.ndarray) -> np.ndarray:
     """Value-only evaluation of the solution at the rows of `pts`."""
     iset0 = IndexSet(fam.variables, {(0,) * len(fam.variables)})
-    ctx = EvalContext(iset0, scn, guard_scale=guard_scale)
+    ctx = EvalContext(iset0, scn)
     return eval_batch(fam.solution, _points_env(fam, iset0, pts), ctx,
                       len(pts)).value()
 
@@ -305,13 +307,11 @@ def draw_scenario(
     base_shift: float = 0.0,
     param_overrides: Optional[Dict[str, float]] = None,
 ) -> Scenario:
-    """Draw until the pre-scan accepts, or raise SamplingExhausted.
-
-    The pre-scan is a value-only evaluation with widened guards; it rejects
-    scenarios whose points sit near a domain wall anywhere along the
-    integration paths.  A failing point is a NaN column; an EvalError (a
-    malformed tree, an unbound name, the nesting limit) no redraw can fix,
-    so it propagates."""
+    """Draw parameters until the family's admissibility predicate accepts
+    them, then its function stand-ins and n_points sample points; raise
+    SamplingExhausted after MAX_DRAW_ATTEMPTS rejected draws.  Nothing is
+    evaluated here: a point the solution cannot be evaluated at is
+    resampled by scenario_residuals."""
     h = HINTS.get(fam.family_id, SamplingHints())
     for attempt in range(1, MAX_DRAW_ATTEMPTS + 1):
         params = {p: float(rng.uniform(*h.params[p])) for p in fam.parameters}
@@ -323,12 +323,9 @@ def draw_scenario(
                                      h.funcs[name])
                  for name in sorted(fam.functions)}
         bases = {b: base_shift for b in fam.base_names}
-        scn = Scenario(params, funcs, bases,
-                       _draw_points(rng, fam, n_points),
-                       sampling_attempts=attempt)
-        w = solution_values(fam, scn, scn.points, guard_scale=PRESCAN_GUARD)
-        if np.isfinite(w).all():
-            return scn
+        return Scenario(params, funcs, bases,
+                        _draw_points(rng, fam, n_points),
+                        sampling_attempts=attempt)
     raise SamplingExhausted(
         f"family {fam.family_id}: no admissible scenario in "
         f"{MAX_DRAW_ATTEMPTS} attempts")
@@ -393,9 +390,12 @@ def scenario_residuals(
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, IndexSet, int]:
     """Residuals at the scenario's points, replacing points that poison
-    with new draws from rng (dropping one column, not the scenario).
-    Returns (rel, jet_rows, index_set, n_resampled); scn.points holds the
-    final points."""
+    with new draws from rng (dropping one column, not the scenario), for
+    up to MAX_RESAMPLE_ROUNDS rounds; a point still unevaluable after that
+    keeps a NaN residual.  This is the one place an unevaluable point is
+    handled.  An EvalError (a malformed tree, an unbound name, the nesting
+    limit) no redraw can fix, so it propagates.  Returns (rel, jet_rows,
+    index_set, n_resampled); scn.points holds the final points."""
     n = len(scn.points)
     rel = np.full(n, np.nan)
     data = None
@@ -732,13 +732,7 @@ def verify_catalog(
     **kw,
 ) -> Iterator[VerificationReport]:
     """Verify several families (ids None: the whole catalog; an empty list:
-    none) in a thread pool with one worker per core.  Reports are yielded
-    in the order the ids were given, each as soon as it and the ones before
-    it are done."""
-    # imported here: at module level it adds 10-15 ms to `import pdegensol`
-    from concurrent import futures
-
-    ids = family_ids() if ids is None else list(ids)
-    workers = max(1, min(len(ids), os.cpu_count() or 1))
-    with futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(lambda fid: verify_family(fid, **kw), ids)
+    none) one after another, in the order given, yielding each report as
+    soon as it is done."""
+    for fid in family_ids() if ids is None else ids:
+        yield verify_family(fid, **kw)

@@ -472,7 +472,7 @@ def test_hoisting_bit_identical_on_let(k):
 @pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 150), (1, 160, 170)],
                          ids=["K1", "K4"])
 def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k, xi_a, one_a):
-    # a < den_guard: the Div with a width-1 denominator and the fully
+    # a < DEN_GUARD: the Div with a width-1 denominator and the fully
     # constant Div count their poisoned columns alike
     scn_tx.parameters["a"] = 0.25 * engine.DEN_GUARD
     e = parse("int(xi, base(p0), x, xi/a + 1/a + t)",

@@ -23,6 +23,7 @@ from pdegensol.verifier import (
     FAMILY_TOL,
     HINTS,
     FuncSpec,
+    SamplingHints,
     Scenario,
     VerificationReport,
     _negate_seeds,
@@ -69,12 +70,27 @@ def test_draw_scenario_exhaustion(monkeypatch):
         draw_scenario(fam, rng, 4)
 
 
-def test_prescan_lets_eval_errors_through(monkeypatch):
+def test_residual_pass_lets_eval_errors_through(monkeypatch):
     # a nesting limit below 4.4's depth is no property of the scenario, so
-    # the pre-scan does not redraw: the error reaches the caller
+    # the residual pass does not resample: the error reaches the caller
     monkeypatch.setattr(engine, "NEST_LIMIT", 3)
-    with pytest.raises(NestLimitExceeded):
+    with pytest.raises(NestLimitExceeded) as exc:
         verify_family("4.4", n_scenarios=1, n_points=2)
+    assert "scenario_residuals" in {entry.name for entry in exc.traceback}
+
+
+def test_draw_scenario_evaluates_nothing(monkeypatch):
+    # a draw only draws: a point the solution cannot be evaluated at is
+    # the residual pass's to resample
+    def no_eval(*a, **kw):
+        raise AssertionError("evaluated during a draw")
+
+    monkeypatch.setattr(verifier, "solution_values", no_eval)
+    monkeypatch.setattr(verifier, "eval_batch", no_eval)
+    fam = get_family("4.4")
+    scn = draw_scenario(fam, verifier._scenario_rng(1, "4.4", 0), 6)
+    assert scn.points.shape == (6, 2)
+    assert scn.sampling_attempts == 1
 
 
 def test_scenario_residuals_resamples_bad_points():
@@ -281,11 +297,10 @@ def test_nonfinite_shifted_value_fails_the_crosscheck(monkeypatch):
     # cannot agree, so its deviation is infinite (JSON null), never 0
     real = verifier.solution_values
 
-    def hole(fam, scn, pts, guard_scale=1.0):
-        # the pre-scan evaluates at PRESCAN_GUARD, the cross-check at 1
-        w = real(fam, scn, pts, guard_scale=guard_scale)
-        if guard_scale == 1.0:
-            w[0] = np.nan
+    def hole(fam, scn, pts):
+        # within verify_family only the cross-check calls solution_values
+        w = real(fam, scn, pts)
+        w[0] = np.nan
         return w
 
     monkeypatch.setattr(verifier, "solution_values", hole)
@@ -412,13 +427,13 @@ def test_verify_catalog_orders_results():
     assert [r.family for r in rs] == ids
 
 
-def test_verify_catalog_pooled_matches_serial():
+def test_verify_catalog_matches_verify_family():
     ids = ["3.1", "3.4", "6.1"]
     serial = [verify_family(i, n_scenarios=1, n_points=4).to_json()
               for i in ids]
-    pooled = [r.to_json() for r in
-              verify_catalog(ids, n_scenarios=1, n_points=4)]
-    assert pooled == serial
+    streamed = [r.to_json() for r in
+                verify_catalog(ids, n_scenarios=1, n_points=4)]
+    assert streamed == serial
 
 
 def test_verify_catalog_streams_reports(monkeypatch):
@@ -458,7 +473,7 @@ def _one_record_family(pde, sol):
 @pytest.mark.parametrize("pde, sol, status", [
     ("w_t - w_x", "rootof(Z, ln(Z) - x - t, 1)", "no_root"),
     ("w_t - w_x", "rootof(Z, Z^2 - x - t, 1)", "solves"),
-    ("w_t - w_x", "rootof(Z, Z - 20 - x, 1)", "sampling_exhausted"),
+    ("w_t - w_x", "rootof(Z, Z^2 - x - t, 1)", "sampling_exhausted"),
     # the PDE terms are not finite at x < 0.5 while the solution jet is:
     # the remaining points alone are no evidence that the branch solves
     ("w_t - w_x + ln(x - 0.5) - ln(x - 0.5)", "rootof(Z, Z^2 - x - t, 1)",
@@ -467,10 +482,12 @@ def _one_record_family(pde, sol):
     ("2*w_t*sqrt(t + x) - 1", "rootof(Z, Z^2 - x - t, 1)",
      "does_not_solve"),
 ])
-def test_probe_status(pde, sol, status):
+def test_probe_status(monkeypatch, pde, sol, status):
     fam = _one_record_family(pde, sol)
     if status == "sampling_exhausted":
         # no scenario 0 to probe: the report says why
+        monkeypatch.setitem(HINTS, fam.family_id,
+                            SamplingHints(admissible=lambda p: False))
         r = verify_family(fam, n_scenarios=1, n_points=6, seed=1,
                           probe_branches=True)
         probe = r.branch_probe
@@ -479,6 +496,21 @@ def test_probe_status(pde, sol, status):
                             6)
         probe = _probe_alternate_branch(fam, scn, DEFAULT_TOL_REL)
     assert probe["status"] == status
+
+
+def test_unbracketable_root_is_indeterminate_with_a_cause():
+    # Z = 20 + x lies outside every bracket the root solver searches, so no
+    # resampled point can be evaluated: each of the 8 rounds redraws all 6
+    # points, and the report names the scenario and the probe the cause
+    fam = _one_record_family("w_t - w_x", "rootof(Z, Z - 20 - x, 1)")
+    r = verify_family(fam, n_scenarios=1, n_points=6, seed=1,
+                      probe_branches=True)
+    assert r.verdict == "INDETERMINATE"
+    assert [row["status"] for row in r.scenarios] == ["eval_incomplete"]
+    assert r.resampled_points == r.scenarios[0]["resampled_points"] == 48
+    assert r.notes == ["scenario 0: 6 point(s) unevaluable after resampling"]
+    assert r.branch_probe == {"branch": "negated_seed", "status": "no_root"}
+    assert_verdict_recomputes(r)
 
 
 def test_probed_runs_pin_no_new_engine_nodes():
