@@ -296,8 +296,7 @@ def _cmd_sample(args) -> int:
     if args.out:
         _check_out_dir(args.out)
         _check_out_dir(Path(args.out).with_suffix(".scenario.json"))
-    # the scenario's own points are drawn last and go unused
-    scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 8)
+    scn = draw_scenario(fam, _scenario_rng(args.seed, fam.family_id), 0)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -29,19 +29,14 @@ them leave every output bit as it was:
   evaluates its tree once and hoists nothing.  Results that leave a
   node's own arithmetic (integral limits, integrand and root-body values)
   are copied out to full width.
-* Leaf integrands are evaluated and reduced in slices.  An integrand with
-  no integral or root inside computes each quadrature node on its own, so
-  its callback takes a round of two slices or more 2184 panels at a time
-  (_leaf_slices: whole 4-panel blocks, the last slice also taking the
-  remainder): it builds their nodes straight into the dummy's jet,
-  gathers each bound name once per panel for its 15 nodes, and hands the
-  slice's values to Panels.take, which reduces them to the round's
-  estimates while they are in the cache.  No node-length array outlives
-  its slice, and the matmuls give every panel the bits of one
-  whole-round product.  A smaller round, and every other integrand, is
-  returned whole: the row sums of an inner quadrature and the seeds of
-  an implicit root both depend on how many columns share a call, so
-  slicing them would move output bits.
+* Leaf integrands are evaluated in slices.  An integrand with no
+  integral or root inside computes each quadrature node on its own, so
+  its callback tells Panels.reduce that it is a leaf, and reduce asks for
+  its values a slice of panels at a time (quadrature owns the slice
+  rule).  The callback builds a slice's nodes straight into the dummy's
+  jet and gathers each bound name once per panel for its 15 nodes, so no
+  node-length array outlives its slice.  Every other integrand is
+  evaluated whole (quadrature says why).
 * A root's column constants are evaluated once per column set.  The
   subtrees of a root body and of its z-derivative that do not depend on
   the root's dummy and hold no root take the same value in every body
@@ -65,7 +60,7 @@ tolerances) every evaluation runs at."""
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -88,21 +83,6 @@ TAN_GUARD = 1e-8
 # the tolerances every quadrature and root solve runs at, and every report
 # records
 CFG = NumericConfig()
-
-# nodes per slice of a leaf-integrand callback, rounded down to whole
-# 4-panel blocks (2184 panels): 8 K was slower on 4.4's samples, 16 K to
-# 128 K about equal
-_LEAF_SLICE = 32768
-
-
-def _leaf_slices(npan: int) -> list:
-    """The edges of a leaf-integrand round of npan panels: slices of a
-    whole number of 4-panel blocks, the last one also taking the
-    remainder, so that no slice is short.  Reduced slice by slice, such a
-    round gives the bits of the whole-round reduction (see quadrature)."""
-    step = max(4, _LEAF_SLICE // 60 * 4)
-    return [*range(0, max(npan - step, 0) + 1, step), npan]
-
 
 # elementary function -> (its jet function, the guard that function takes,
 # or None).  A guarded function's mask marks the columns outside its domain
@@ -451,7 +431,7 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     names = [nm for nm in env if nm in e.integrand._free]
     leaf = _is_leaf(e.integrand)
 
-    def at_nodes(panels: Panels, lo: int, hi: int) -> JetBatch:
+    def at_nodes(panels: Panels, lo: int, hi: int) -> np.ndarray:
         own = panels.cols[lo:hi]
         ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
                 for nm in names}
@@ -460,16 +440,11 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         dummy = alloc((iset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
         ienv[e.dummy] = JetBatch(iset, dummy)
-        return _ev(e.integrand, ienv, subctx, dummy.shape[1], {})
+        m = dummy.shape[1]
+        return _widen(_ev(e.integrand, ienv, subctx, m, {}), m).data
 
-    def integrand_eval(panels: Panels, cols: np.ndarray) -> Optional[np.ndarray]:
-        # one slice is returned, several are handed to panels.take in turn
-        edges = _leaf_slices(cols.size) if leaf else [0, cols.size]
-        if len(edges) == 2:
-            return _widen(at_nodes(panels, 0, cols.size), panels.size).data
-        for lo, hi in zip(edges, edges[1:]):
-            panels.take(lo, hi, _widen(at_nodes(panels, lo, hi), 15 * (hi - lo)).data)
-        return None
+    def integrand_eval(panels: Panels, cols: np.ndarray) -> None:
+        panels.reduce(lambda lo, hi: at_nodes(panels, lo, hi), leaf)
 
     def on_noconv(mask):
         ctx.record("quad", mask, e)

@@ -7,27 +7,32 @@ large array evaluations rather than deep scalar recursion.  The evaluator
 receives the round as Panels (centres, half-widths and owner columns), not
 as a node array: it builds the nodes itself, all at once or a range of
 panels at a time, and reads per-column data once per panel, so neither
-side holds a node-length copy of the owners.  It returns its values for
-the whole round, or hands them to Panels.take a slice at a time; take
-reduces each slice to the panel-length estimates I15 and |I15 - I7| while
-its values are in the cache, so a sliced round holds no node-length array.
-The rest of a round works at panel length, in place where the operations
-and operands stay the same.
+side holds a node-length copy of the owners.  It hands its values to
+Panels.reduce, never to the driver: reduce asks for them whole or a slice
+at a time and reduces each to the panel-length estimates I15 and
+|I15 - I7| while its values are in the cache.  The rest of a round works
+at panel length, in place where the operations and operands stay the
+same.
 
-The two reductions I15 and I7 are matrix products whose last bits depend
-on how they are computed, and I7 decides convergence.  So a round is
-reduced whole or in slices of whole 4-panel blocks, the last slice also
-taking the remainder: each panel then gets the bits of one whole-round
-product.  Measured with numpy 2.4 and OpenBLAS 0.3.31 (Haswell kernels),
-slices of 4, 8, ..., 2184 panels did so, while slices of 1, 2, 3, 7 or
-2183 panels, or a trailing slice of 1-3 panels, moved bits: the kernels
-evidently take rows in blocks of 4 with a separate tail.
+Only a leaf integrand's round is sliced: one whose value at a node
+depends on that node alone.  The row sums of an inner quadrature and the
+seeds of an implicit root depend on how many columns share a call, so
+slicing those would move output bits.  A leaf round goes in slices of
+_LEAF_SLICE nodes rounded down to whole 4-panel blocks (2184 panels), the
+last slice also taking the remainder, so a round of less than two slices
+goes whole.  The two reductions I15 and I7 are matrix products whose
+last bits depend on how they are computed, and I7 decides convergence;
+cut so, each panel gets the bits of one whole-round product.  Measured
+with numpy 2.4 and OpenBLAS 0.3.31 (Haswell kernels), slices of 4, 8,
+..., 2184 panels did so, while slices of 1, 2, 3, 7 or 2183 panels, or a
+trailing slice of 1-3 panels, moved bits: the kernels evidently take
+rows in blocks of 4 with a separate tail.
 test_sliced_round_matches_whole_round pins the rule.  The layout of I7's
-operand counts too: gauss_rows copies the 7 Gauss columns a block of
-panels at a time into the very buffer layout numpy's fancy gather would
-allocate, because the matmul picks its kernel from the layout and a
-C-ordered copy of the same values gives other bits.  The layout of the
-result is pinned too (see adaptive_gk_batched).
+operand counts too: take gathers it as vals[:, :, GAUSS_IDX], a buffer
+numpy lays out by vals' own strides, and the matmul picks its kernel from
+that layout; the strided view vals[:, :, 1::2] and a C-ordered copy of
+the same values give other bits.  The layout of the result is pinned too
+(see adaptive_gk_batched).
 
 The 15-point Kronrod extension of 7-point Gauss is the classic pair; its
 nodes and weights are hard-coded below and pinned by tests against an
@@ -90,32 +95,18 @@ MAX_DEPTH = 30
 MAX_PANELS_PER_COL = 500
 MAX_PANELS_TOTAL = 500_000
 
-# panels per block of the Gauss gather: a block's 15-node rows stay in cache
-# while its 7 Gauss columns are written out.  At 1.8e6 panels, K=1 (one
-# core of a 2-core x86 host, numpy 2.4), blocks of 512 to 8 K panels took
-# 59-62 ms, one whole-array copy 143 ms and the fancy gather 133 ms; about
-# 27 ms of each is first-touching the buffer
-GATHER_ROWS = 2048
+# nodes per slice of a leaf integrand's round, rounded down to whole
+# 4-panel blocks (2184 panels): 8 K was slower on 4.4's samples, 16 K to
+# 128 K about equal
+_LEAF_SLICE = 32768
 
 
-def gauss_rows(vals: np.ndarray) -> np.ndarray:
-    """vals[:, :, GAUSS_IDX] for vals of shape (K, n, 15): the same values,
-    shape and strides, copied a block of panels at a time.
-
-    numpy's fancy gather writes a (7, K, n) buffer, the (K, n) axes ordered
-    by vals' own strides (largest first), and returns it as (K, n, 7).
-    The matmul with GAUSS_W picks its kernel from that layout, and a
-    C-ordered copy of the same values gives other I7 bits, so this buffer
-    has that layout too."""
-    K, n, _ = vals.shape
-    if abs(vals.strides[0]) < abs(vals.strides[1]):
-        out = np.empty((7, n, K)).transpose(2, 1, 0)
-    else:
-        out = np.empty((7, K, n)).transpose(1, 2, 0)
-    src = vals[:, :, 1::2]  # GAUSS_IDX as a strided view
-    for lo in range(0, n, GATHER_ROWS):
-        out[:, lo:lo + GATHER_ROWS] = src[:, lo:lo + GATHER_ROWS]
-    return out
+def _leaf_slices(npan: int) -> list:
+    """The edges of a leaf round of npan panels: slices of a whole number
+    of 4-panel blocks, the last one also taking the remainder, so that no
+    slice is short (see the module docstring)."""
+    step = max(4, _LEAF_SLICE // 60 * 4)
+    return [*range(0, max(npan - step, 0) + 1, step), npan]
 
 
 class Panels:
@@ -124,9 +115,10 @@ class Panels:
     per panel.  Nodes are built on request for any range of panels, so a
     caller can hold a slice of them at a time; a panel's 15 nodes all
     belong to its owner column, so per-column data is gathered per panel.
-    take reduces the integrand values of a range of panels into the
-    round's estimates i15 and err, (K, npan) each, and its bad mask, so
-    the values need not outlive their slice."""
+    reduce takes the round's integrand values and reduces them into its
+    estimates i15 and err, (K, npan) each, and its bad mask, a slice at a
+    time for a leaf integrand, so the values need not outlive their
+    slice."""
 
     def __init__(self, mid: np.ndarray, half: np.ndarray, cols: np.ndarray):
         self.mid = mid
@@ -147,14 +139,22 @@ class Panels:
         xs += mid[:, None]
         return out
 
+    def reduce(self, values: Callable[[int, int], np.ndarray],
+               leaf: bool) -> None:
+        """Reduce the round's integrand values, values(lo, hi) being the
+        (K, 15 * (hi - lo)) values at the nodes of panels lo..hi: asked
+        for whole, or for a leaf integrand in the slices of _leaf_slices,
+        each taken before the next is asked for."""
+        npan = self.cols.size
+        edges = _leaf_slices(npan) if leaf else (0, npan)
+        for lo, hi in zip(edges, edges[1:]):
+            self.take(lo, hi, values(lo, hi))
+
     def take(self, lo: int, hi: int, vals: np.ndarray) -> None:
-        """Reduce vals, the integrand's (K, 15 * (hi - lo)) values at the
-        nodes of panels lo..hi: the Kronrod estimate I15, the error
-        estimate |I15 - I7| and whether a sample is not finite.  A round is
-        taken whole or in order, in slices of whole 4-panel blocks, the
-        last one also taking the remainder: the matmuls then give each
-        panel the bits of the whole-round product (see the module
-        docstring)."""
+        """Reduce vals, the integrand's values at the nodes of panels
+        lo..hi: the Kronrod estimate I15, the error estimate |I15 - I7|
+        and whether a sample is not finite.  Slices come in order and cover
+        the round."""
         npan = self.cols.size
         K = vals.shape[0]
         vals = vals.reshape(K, hi - lo, 15)
@@ -169,7 +169,7 @@ class Panels:
         with np.errstate(invalid="ignore", over="ignore"):
             np.matmul(vals, WEIGHTS, out=i15)
             i15 *= half
-            np.matmul(gauss_rows(vals), GAUSS_W, out=err)
+            np.matmul(vals[:, :, GAUSS_IDX], GAUSS_W, out=err)
             err *= half
             np.subtract(i15, err, out=err)
             np.abs(err, out=err)
@@ -183,7 +183,7 @@ class Panels:
 
 
 def adaptive_gk_batched(
-    evalfn: Callable[[Panels, np.ndarray], Optional[np.ndarray]],
+    evalfn: Callable[[Panels, np.ndarray], None],
     lo: np.ndarray,
     hi: np.ndarray,
     K: int,
@@ -194,40 +194,32 @@ def adaptive_gk_batched(
 
     Each round calls evalfn(panels, cols) once with the round's Panels,
     where cols[j] names the integral (column) that panel j belongs to; it
-    returns the integrand jets at panels.nodes(), shape (K, panels.size),
-    or hands them to panels.take in slices that cover the round in order
-    and returns None.
+    hands the integrand jets at panels.nodes() to panels.reduce.
     Returns the integrals, shape (K, N), as the transpose of an (N, K)
     array: F-ordered when K > 1.  That layout is part of the contract:
     numpy sums pairwise along a contiguous axis and in sequence along a
     strided one, so the reductions downstream give other last bits on a
     C-ordered copy of the same values (3.9's residual at verify seed 41
-    moves).  I7's operand has a pinned layout for the same reason, and
-    more at stake: the convergence test compares I7's bits with the
-    budget, so gauss_rows(vals) must lay its buffer out as
-    vals[:, :, GAUSS_IDX] does.  Columns that fail (NaN from the integrand,
-    or no convergence before the depth limit) come back NaN; nonconvergent
-    columns are also reported via on_noconv.
+    moves).  Columns that fail (NaN from the integrand, or no convergence
+    before the depth limit) come back NaN; nonconvergent columns are also
+    reported via on_noconv.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     N = lo.size
-    sign = np.where(hi >= lo, 1.0, -1.0)
-    a0 = np.minimum(lo, hi)
-    b0 = np.maximum(lo, hi)
-    L = b0 - a0
-    live = L > 0.0
-    np.maximum(L, 1e-300, out=L)
-
     total = np.zeros((N, K))
     dead = np.zeros(N, dtype=bool)  # poisoned by NaN integrand
     noconv = np.zeros(N, dtype=bool)
 
     # nothing below writes into ia or ib: each round builds fresh ones
-    cols, ia, ib = np.arange(N), a0, b0
-    if not live.all():
-        cols, ia, ib = cols[live], ia[live], ib[live]
+    ia = np.minimum(lo, hi)
+    ib = np.maximum(lo, hi)
+    L = ib - ia
+    cols = np.flatnonzero(L > 0.0)
+    if cols.size < N:
+        ia, ib = ia[cols], ib[cols]
         dead[np.isnan(L)] = True  # a NaN limit poisons its column
+    np.maximum(L, 1e-300, out=L)
 
     per_col = np.zeros(N, dtype=np.int64)
     panels_total = 0
@@ -254,12 +246,7 @@ def adaptive_gk_batched(
         mid = ia + ib
         mid *= 0.5
         panels = Panels(mid, half, cols)
-        vals = evalfn(panels, cols)
-        if vals is not None:
-            panels.take(0, cols.size, vals)
-            # the round's largest array: free it before the next round's
-            # integrand call allocates its own
-            del vals
+        evalfn(panels, cols)
         I15, errs, bad = panels.i15, panels.err, panels.bad
         # total is all zeros in round 0, and 0 + |I15| is |I15|
         ref = np.abs(I15)
@@ -287,6 +274,9 @@ def adaptive_gk_batched(
             ib = np.stack([rb, rm], axis=1).ravel()
         else:
             cols = cols[:0]
+        # the round's panel-length arrays: none is held into the next
+        # round's integrand call or past the last round
+        del panels, I15, errs, bad, ref, budget, half, mid, ok, rest
         depth += 1
 
     fail = dead | noconv
@@ -294,4 +284,5 @@ def adaptive_gk_batched(
         total[fail] = np.nan
     if noconv.any() and on_noconv is not None:
         on_noconv(noconv)
-    return total.T * sign[None, :]
+    total *= np.where(hi >= lo, 1.0, -1.0)[:, None]
+    return total.T

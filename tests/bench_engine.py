@@ -81,9 +81,9 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
     rs = np.random.default_rng(3)
     panels = Panels(rs.uniform(0.2, 0.8, npan), np.full(npan, 0.1),
                     np.sort(rs.integers(0, cols, npan)))
-    # the round is larger than two slices: the callback hands its slices
-    # to panels.take and returns nothing
-    assert benchmark(integrand_eval, panels, panels.cols) is None
+    # the round is larger than two slices: panels.reduce asks the
+    # callback for it a slice at a time
+    benchmark(integrand_eval, panels, panels.cols)
     assert panels.i15.shape == (iset.K, npan) and np.isfinite(panels.i15).all()
 
 
@@ -113,7 +113,7 @@ def test_leaf_quadrature_44(benchmark, monkeypatch):
 
     def counted(panels, cols):
         nodes.append(panels.size)
-        return evalfn(panels, cols)
+        evalfn(panels, cols)
 
     quadrature.adaptive_gk_batched(counted, lo, hi, K, cfg)
     assert 5 * 10**5 < sum(nodes) < 2 * 10**6
@@ -123,9 +123,9 @@ def test_leaf_quadrature_44(benchmark, monkeypatch):
 
 def test_driver_round(benchmark):
     # the driver's own cost in one round the size of 4.4's first depth-5
-    # round (about 1.8e6 panels, K=1): the integrand hands back a fixed
-    # quadratic sampled at the first round's nodes, so every panel
-    # converges at once and the integrand costs nothing
+    # round (about 1.8e6 panels, K=1): the integrand hands panels.reduce
+    # a fixed quadratic sampled at the first round's nodes, whole, so
+    # every panel converges at once and the integrand costs nothing
     cols = 1_800_000
     lo, hi = np.zeros(cols), np.linspace(0.1, 1.0, cols)
     xs = Panels(0.5 * hi, 0.5 * hi, np.arange(cols)).nodes()
@@ -134,7 +134,7 @@ def test_driver_round(benchmark):
 
     def integrand(panels, owner):
         rounds.append(panels.size)
-        return vals
+        panels.reduce(lambda lo, hi: vals, False)
 
     data = benchmark(quadrature.adaptive_gk_batched, integrand, lo, hi, 1, engine.CFG)
     assert set(rounds) == {vals.size}

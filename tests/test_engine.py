@@ -25,7 +25,7 @@ from pdegensol.numeric import (
     eval_batch,
     polynomial,
 )
-from pdegensol.numeric import engine
+from pdegensol.numeric import engine, quadrature
 from pdegensol.numeric.quadrature import Panels
 from pdegensol.verifier import _scenario_rng, draw_scenario
 
@@ -528,7 +528,7 @@ def test_leaf_slicing_bit_identical(scn_tx, monkeypatch, k):
            for v in ("t", "x")}
     out = {}
     for size in (7, 10**9):
-        monkeypatch.setattr(engine, "_LEAF_SLICE", size)
+        monkeypatch.setattr(quadrature, "_LEAF_SLICE", size)
         ctx = EvalContext(iset, scn_tx)
         out[size] = eval_batch(e, env, ctx, n).data
     assert np.isfinite(out[7]).all()
@@ -546,7 +546,7 @@ def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
            for v in ("t", "x")}
     out, causes = {}, {}
     for size in (7, 10**9):
-        monkeypatch.setattr(engine, "_LEAF_SLICE", size)
+        monkeypatch.setattr(quadrature, "_LEAF_SLICE", size)
         ctx = EvalContext(iset, scn_tx)
         with np.errstate(all="ignore"):
             out[size] = eval_batch(e, env, ctx, n).data
@@ -554,6 +554,60 @@ def test_leaf_slicing_keeps_causes(scn_tx, monkeypatch):
     assert _same_bits(out[7], out[10**9])
     assert causes[7] == causes[10**9]
     assert causes[7] and {k for k, _ in causes[7]} == {"domain"}
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_rounds_reduced_in_their_callback(scn_tx, monkeypatch, k):
+    # at 4-panel slices: every round is reduced inside its own integrand
+    # callback, which returns nothing; the outer integral's rounds (its
+    # integrand holds an integral) in one reduction over all panels, the
+    # inner leaf rounds in whole 4-panel blocks that cover the round in
+    # order, the last block taking the remainder
+    scn_tx.parameters["a"] = 0.7
+    scn_tx.functions["F"] = mk_poly1("F", {0: 0.3, 1: -0.8, 2: 0.4})
+    scn_tx.functions["G"] = mk_poly1("G", {1: 1.1, 3: -0.2})
+    e = parse(_NESTED, Env(variables=("t", "x"), parameters=("a",),
+                           functions={"F": 1, "G": 1}))
+    iset = _isets(("t", "x"))[k]
+    n = 9
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    monkeypatch.setattr(quadrature, "_LEAF_SLICE", 7)
+    calls, rounds, active = [], [], []
+    take, quad = Panels.take, engine.adaptive_gk_batched
+
+    def taken(panels, lo, hi, vals):
+        assert active[-1][1] is panels
+        active[-1][2].append((lo, hi))
+        take(panels, lo, hi, vals)
+
+    def tagged(evalfn, lo, hi, K, cfg, on_noconv=None):
+        outer = not calls  # the first call is the outer integral
+        calls.append(outer)
+
+        def callback(panels, cols):
+            active.append((outer, panels, []))
+            assert evalfn(panels, cols) is None
+            rounds.append(active.pop())
+        return quad(callback, lo, hi, K, cfg, on_noconv)
+
+    monkeypatch.setattr(Panels, "take", taken)
+    monkeypatch.setattr(engine, "adaptive_gk_batched", tagged)
+    got = eval_batch(e, env, EvalContext(iset, scn_tx), n).data
+    assert np.isfinite(got).all()
+    # the outer round of 9 panels would be sliced were it a leaf's
+    assert [p.cols.size for outer, p, _ in rounds if outer][0] == n
+    sliced = 0
+    for outer, panels, slices in rounds:
+        npan = panels.cols.size
+        if outer or npan < 8:
+            assert slices == [(0, npan)]
+            continue
+        sliced += 1
+        assert [lo for lo, _ in slices] == list(range(0, 4 * len(slices), 4))
+        assert all(hi - lo == 4 for lo, hi in slices[:-1])
+        assert slices[-1][1] == npan and 4 <= npan - slices[-1][0] < 8
+    assert sliced
 
 
 class _Taken(Panels):
@@ -564,20 +618,19 @@ class _Taken(Panels):
         self.slices.append(vals.copy())
 
     def values(self, cb):
-        """cb's values on these panels: returned whole, or taken in
-        slices that cover the panels in order."""
+        """cb's values on these panels, taken in slices that cover the
+        panels in order."""
         self.slices = []
-        got = cb(self, self.cols)
-        if got is None:
-            got = np.hstack(self.slices)
-            assert got.shape[1] == self.size
+        cb(self, self.cols)
+        got = np.hstack(self.slices)
+        assert got.shape[1] == self.size
         return got
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 2.5e300, 0.75]
 
 
-@pytest.mark.parametrize("npan", [5, 2 * (engine._LEAF_SLICE // 15) + 3],
+@pytest.mark.parametrize("npan", [5, 2 * (quadrature._LEAF_SLICE // 15) + 3],
                          ids=["whole", "sliced"])
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
 def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):

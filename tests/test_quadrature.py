@@ -9,18 +9,25 @@ import pytest
 from pdegensol.expr_core import Env, parse
 from pdegensol.numeric import (EvalContext, IndexSet, JetBatch,
                                NumericConfig, engine, eval_batch, quadrature)
-from pdegensol.numeric.quadrature import (GATHER_ROWS, GAUSS_IDX, GAUSS_W,
-                                          NODES, WEIGHTS, Panels,
-                                          adaptive_gk_batched, gauss_rows)
+from pdegensol.numeric.quadrature import (GAUSS_IDX, GAUSS_W, NODES,
+                                          WEIGHTS, Panels,
+                                          adaptive_gk_batched)
 
 
 CFG = NumericConfig()
 
 
+def whole(f):
+    """The integrand callback that hands f(panels, cols), the values of a
+    whole round, to panels.reduce."""
+    return lambda panels, cols: panels.reduce(
+        lambda lo, hi: f(panels, cols), False)
+
+
 def quad(f, lo, hi, cfg=CFG, on_noconv=None):
     """One-column integral of f (array in, array out) from lo to hi."""
     data = adaptive_gk_batched(
-        lambda panels, cols: f(panels.nodes())[None, :],
+        whole(lambda panels, cols: f(panels.nodes())[None, :]),
         np.array([lo]), np.array([hi]), 1, cfg, on_noconv)
     return data[0, 0]
 
@@ -155,7 +162,8 @@ def test_driver_nonfinite_samples(K, case, monkeypatch):
         return out
 
     with np.errstate(over="ignore"):
-        data = adaptive_gk_batched(evalfn, lo, hi, K, CFG, calls.append)
+        data = adaptive_gk_batched(whole(evalfn), lo, hi, K, CFG,
+                                   calls.append)
     assert data.shape == (K, 3)
     assert np.isnan(data[:, 1]).all()
     assert np.isfinite(data[:, [0, 2]]).all()
@@ -186,8 +194,8 @@ def test_dead_column_leaves_later_rounds():
                 out[(owner == 1) & (xs == 1.5)] = np.nan
             return out[None, :]
 
-        data = adaptive_gk_batched(evalfn, np.zeros(3), np.full(3, 2.0), 1,
-                                   CFG)
+        data = adaptive_gk_batched(whole(evalfn), np.zeros(3),
+                                   np.full(3, 2.0), 1, CFG)
         return data[0], calls
 
     got, calls = run(True)
@@ -250,39 +258,19 @@ def test_driver_returns_f_ordered_rows():
     # last bits of 3.9's residual at verify seed 41
     K = 3
     data = adaptive_gk_batched(
-        lambda panels, cols: np.vstack([np.cos(panels.nodes())] * K),
+        whole(lambda panels, cols: np.vstack([np.cos(panels.nodes())] * K)),
         np.zeros(5), np.linspace(0.5, 2.5, 5), K, CFG)
     assert data.shape == (K, 5)
     assert data.flags.f_contiguous and not data.flags.c_contiguous
 
 
-@pytest.mark.parametrize("K", [1, 4])
-@pytest.mark.parametrize("n", [1, GATHER_ROWS - 1, GATHER_ROWS,
-                               GATHER_ROWS + 1, 3 * GATHER_ROWS + 5])
-def test_gauss_rows_is_the_fancy_gather(K, n):
-    # I7 decides convergence, and its matmul picks its kernel from the
-    # layout of the gathered buffer: the blocked copy must have the fancy
-    # gather's values, shape and strides, and give the same I7 bits.  The
-    # driver's vals arrive C-ordered from leaf integrands and may be
-    # F-ordered at K > 1 (an inner integral's result)
-    rs = np.random.default_rng(n + K)
-    flat = rs.standard_normal((K, 15 * n)) * 10.0 ** rs.integers(
-        -8, 8, (K, 15 * n))
-    for vals in (flat.reshape(K, n, 15),
-                 np.asfortranarray(flat).reshape(K, n, 15)):
-        want = vals[:, :, GAUSS_IDX]
-        got = gauss_rows(vals)
-        assert got.shape == want.shape and got.strides == want.strides
-        assert np.array_equal(_bits(got), _bits(want))
-        assert np.array_equal(_bits(got @ GAUSS_W), _bits(want @ GAUSS_W))
-
-
 # ---------------------------------------------------------------------------
-# A leaf integrand hands its round to Panels.take in slices
-# (engine._leaf_slices): whole 4-panel blocks, the remainder in the last
-# slice.  Reduced so, each panel gets the bits of the whole-round matmuls.
+# Panels.reduce asks a leaf integrand for its round in slices
+# (quadrature._leaf_slices): whole 4-panel blocks, the remainder in the
+# last slice.  Reduced so, each panel gets the bits of the whole-round
+# matmuls.
 
-_STEP = engine._leaf_slices(10**6)[1]  # panels per slice
+_STEP = quadrature._leaf_slices(10**6)[1]  # panels per slice
 
 
 def _round(K, npan, rs):
@@ -307,10 +295,14 @@ def test_sliced_round_matches_whole_round(K):
         for r in (0, 1, 2, 3, 5, 7):
             npan = k * _STEP + r
             vals, panels = _round(K, npan, rs)
-            edges = engine._leaf_slices(npan)
-            assert len(edges) - 1 == k
-            for lo, hi in zip(edges, edges[1:]):
-                panels.take(lo, hi, vals[:, 15 * lo:15 * hi].copy())
+            asked = []
+
+            def values(lo, hi):
+                asked.append(hi - lo)
+                return vals[:, 15 * lo:15 * hi].copy()
+
+            panels.reduce(values, True)
+            assert len(asked) == k and sum(asked) == npan
             # the whole-round reduction, as one product each
             v = vals.reshape(K, npan, 15)
             with np.errstate(invalid="ignore", over="ignore"):
@@ -345,10 +337,10 @@ def test_sliced_leaf_round_holds_no_node_length_array(scn_x, monkeypatch):
                     np.sort(rs.integers(0, n, npan)))
     tracemalloc.start()
     try:
-        got = callbacks[0](panels, panels.cols)
+        callbacks[0](panels, panels.cols)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got is None and panels.i15.shape == (1, npan)
+    assert panels.i15.shape == (1, npan)
     assert np.isfinite(panels.i15).all() and not panels.bad.any()
     assert peak < 8 * 15 * npan
