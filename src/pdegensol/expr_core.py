@@ -1025,8 +1025,6 @@ def _simp_top(e: Expr) -> Expr:
             return ZERO
         return e
     if isinstance(e, Exp):
-        if isinstance(e.arg, Ln):
-            return e.arg.arg
         if is_const(e.arg, 0):
             return ONE
         return e

@@ -20,15 +20,13 @@ them leave every output bit as it was:
   is the language's only sharing: the parser expands `let`, and the copies
   of its bound value are one object here.  RootOf nodes are never merged:
   each keeps its own root-seed cache entry.
-* Scenario constants stay width 1.  A subtree with no free name bound in
-  the current environment (only constants, parameters and base points) and
-  no integral or root inside has the same value in every column.  Inside
-  quadrature and root callbacks it is a (K, 1) jet, evaluated once per
-  top-level context and broadcast by numpy, instead of a full-width jet
-  rebuilt on every panel batch or root-body call.  The top level
-  evaluates its tree once and hoists nothing.  Results that leave a
-  node's own arithmetic (integral limits, integrand and root-body values)
-  are copied out to full width.
+* A constant is one column wide.  Every constant, parameter and base
+  point is a (K, 1) jet in every context, and a node is as wide as its
+  widest operand, so a subtree of scenario constants is evaluated at
+  width 1 and numpy broadcasts it against the batch.  Such a subtree is
+  evaluated anew in each callback; inside a root body _ColumnMemo carries
+  it, as it carries every column constant.  A value is copied out to
+  full width (_widen) only where numpy needs real columns.
 * Leaf integrands are evaluated in slices.  An integrand with no
   integral or root inside computes each quadrature node on its own, so
   its callback tells Panels.reduce that it is a leaf, and reduce asks for
@@ -94,14 +92,9 @@ _UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, POS_GUARD),
 class EvalContext:
     """Evaluation state: index set, scenario bindings, nesting depth, and
     the state that every sub-context of one evaluation shares: the cause
-    tally, the root-seed cache and the cache of width-1 scenario
-    constants.  causes counts poisoned columns per (kind, node), summed
-    over every call that recorded them.  hoist is on in the contexts of
-    quadrature and root callbacks, which evaluate the same tree many times,
-    and off at the top level and inside a constant being hoisted, which
-    evaluate it once."""
+    tally and the root-seed cache.  causes counts poisoned columns per
+    (kind, node), summed over every call that recorded them."""
 
-    hoist = False
     depth = 0
 
     def __init__(self, iset: IndexSet, scenario):
@@ -109,14 +102,13 @@ class EvalContext:
         self.scenario = scenario
         self.causes: Counter = Counter()
         self.root_cache: Dict[int, tuple] = {}
-        self.hoisted: Dict[tuple, tuple] = {}
 
     def _sub(self, iset: IndexSet, depth: int) -> "EvalContext":
-        # a shallow copy, so the sub-context shares the tally and both
-        # caches; copy.copy does the same at four times the cost
+        # a shallow copy, so the sub-context shares the tally and the
+        # root-seed cache; copy.copy does the same at four times the cost
         sub = object.__new__(EvalContext)
         vars(sub).update(vars(self))
-        sub.iset, sub.depth, sub.hoist = iset, depth, True
+        sub.iset, sub.depth = iset, depth
         return sub
 
     def value_context(self) -> "EvalContext":
@@ -246,11 +238,15 @@ def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int
     ctx.scenario.  Meanwhile numpy reports every overflow to _OVERFLOWS
     instead of warning or raising."""
     with np.errstate(over="call", call=_OVERFLOWS):
-        return _ev(_interned(e), env, ctx, ncols, {})
+        return _widen(_ev(_interned(e), env, ctx, ncols, {}), ncols)
 
 
 def _widen(jb: JetBatch, n: int) -> JetBatch:
-    """jb at width n: a width-1 constant is copied out to n columns."""
+    """jb at width n: a width-1 constant is copied out to n columns.  The
+    engine copies only where numpy needs real columns: the result of
+    eval_batch, a real power's base, integral limits, the integrand values
+    Panels reduces (the matmul picks its kernel from the layout), and root
+    body values and Newton steps."""
     if jb.data.shape[1] == n:
         return jb
     return JetBatch(jb.iset, np.repeat(jb.data, n, axis=1))
@@ -260,38 +256,13 @@ def _ev(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     got = memo.get(id(e))
     if got is not None:
         return got
-    # _free holds parameter names too.  The test hoists every
-    # parameter-only subtree because no environment binds a parameter's
-    # name: no catalog variable or dummy is named like a parameter
-    if ctx.hoist and e._free.isdisjoint(env) and _is_leaf(e):
-        r = _hoisted(e, env, ctx, n, memo)
-    else:
-        r = _ev_node(e, env, ctx, n, memo)
+    r = _ev_node(e, env, ctx, n, memo)
     memo[id(e)] = r
     return r
 
 
-def _hoisted(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
-    """A scenario constant: e's value at width 1, evaluated once per
-    top-level context and index set, with no hoisting inside.  A constant
-    whose width-1 evaluation records a cause or is non-finite is evaluated
-    on every call instead, so its causes are recorded per call with the
-    caller's column count."""
-    key = (id(e), ctx.iset)
-    ent = ctx.hoisted.get(key)
-    if ent is None or ent[0] is not e:
-        probe = EvalContext(ctx.iset, ctx.scenario)
-        jb = _ev_node(e, {}, probe, 1, {})
-        if probe.causes or not np.isfinite(jb.data).all():
-            jb = None
-        ent = ctx.hoisted[key] = (e, jb)
-    if ent[1] is None:
-        return _ev_node(e, env, ctx, n, memo)
-    return ent[1]
-
-
-def _const(ctx: EvalContext, n: int, value) -> JetBatch:
-    return JetBatch.constants(ctx.iset, np.full(n, float(value)))
+def _const(ctx: EvalContext, value) -> JetBatch:
+    return JetBatch.constants(ctx.iset, [float(value)])
 
 
 def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
@@ -307,7 +278,7 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
             ctx.record("domain", bad, e, n)
         return out
     if isinstance(e, X.Const):
-        return _const(ctx, n, e.value)
+        return _const(ctx, e.value)
     if isinstance(e, X.Var):
         jb = env.get(e.name)
         if jb is None:
@@ -315,12 +286,12 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
         return jb
     if isinstance(e, X.Param):
         try:
-            return _const(ctx, n, ctx.scenario.parameters[e.name])
+            return _const(ctx, ctx.scenario.parameters[e.name])
         except KeyError:
             raise EvalError(f"parameter {e.name!r} not bound in scenario") from None
     if isinstance(e, X.BasePoint):
         try:
-            return _const(ctx, n, ctx.scenario.base_points[e.name])
+            return _const(ctx, ctx.scenario.base_points[e.name])
         except KeyError:
             raise EvalError(f"base point for {e.name!r} not in scenario") from None
     if isinstance(e, X.Integral):
@@ -401,14 +372,10 @@ def _ev_funcapp(e: X.FuncApp, env, ctx: EvalContext, n: int, memo: dict):
         raise EvalError(f"function {e.name!r} not bound in scenario") from None
     args = [_ev(a, env, ctx, n, memo) for a in e.args]
     vals = [a.data[0] for a in args]
-    m = len(args)
-    f_at = {}
-    for gamma in ctx.iset.needed_gammas(m):
-        orders = tuple(o + g for o, g in zip(e.orders, gamma))
-        f = np.asarray(inst.eval(orders, vals), dtype=float)
-        # narrower than n: a width-1 hoisted argument or a constant
-        # derivative; chain() only reads f_at
-        f_at[gamma] = f if f.size == n else np.broadcast_to(f, (n,))
+    # inst.eval broadcasts the argument values, so every derivative value
+    # is as wide as the widest argument
+    f_at = {gamma: inst.eval(tuple(o + g for o, g in zip(e.orders, gamma)), vals)
+            for gamma in ctx.iset.needed_gammas(len(args))}
     data = ctx.iset.chain(f_at, [a.data for a in args])
     return JetBatch(ctx.iset, data), None
 

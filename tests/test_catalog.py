@@ -96,9 +96,8 @@ def _free_names(e, bound=frozenset()):
 
 @pytest.mark.parametrize("fid", ALL_IDS)
 def test_free_names_hold_parameters_and_none_is_rebound(fid):
-    # Expr.free counts parameters; the engine's hoisting test hoists every
-    # parameter-only subtree only because no environment binds a
-    # parameter's name: no variable or dummy is named like a parameter
+    # Expr.free counts parameters, and no variable or dummy is named like a
+    # parameter, so no environment binds a parameter's name
     fam = get_family(fid)
     for tree in (fam.solution, fam.pde):
         assert tree.free == _free_names(tree)

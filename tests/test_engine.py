@@ -378,8 +378,8 @@ def test_two_argument_function_partials(scn_tx):
 
 
 # ---------------------------------------------------------------------------
-# Scenario-constant hoisting and leaf-integrand slicing leave every bit as it
-# was.  Bits are compared on .view(np.int64), so signed zeros and NaN
+# Width-1 scenario constants and leaf-integrand slicing leave every bit as
+# it was.  Bits are compared on .view(np.int64), so signed zeros and NaN
 # payloads count.
 
 
@@ -402,11 +402,28 @@ def _isets(variables):
     return [k4.value_only(), k4]
 
 
-def _hoisted_vs_full_width(e, env, scn, iset, n):
-    """e evaluated twice in one context (the second pass reuses the
-    constants the first hoisted inside callbacks), and e with every Param
-    replaced by a Var bound to a full-width constant jet (which the engine
-    never hoists), evaluated twice likewise."""
+def _constant_widths(monkeypatch):
+    """Spy on engine._ev_node.  The returned list gets, for each
+    parameter-only node it evaluates (no free name bound in the
+    environment), (the node, the names bound in the environment, whether
+    the node holds no integral or root, its width, the batch's width)."""
+    seen = []
+    real = engine._ev_node
+
+    def spy(e, env, ctx, n, memo):
+        out = real(e, env, ctx, n, memo)
+        if e.free.isdisjoint(env):
+            seen.append((e, frozenset(env), engine._is_leaf(e), out.n, n))
+        return out
+
+    monkeypatch.setattr(engine, "_ev_node", spy)
+    return seen
+
+
+def _width1_vs_full_width(e, env, scn, iset, n):
+    """e evaluated twice in one context (the second pass warm-starts its
+    roots from the first), and e with every Param replaced by a Var bound
+    to a full-width constant jet, evaluated twice likewise."""
     names = sorted({p.name for p in X.walk(e) if isinstance(p, X.Param)})
     e2 = X.substitute(e, {nm: X.Var("par_" + nm) for nm in names})
     env2 = dict(env)
@@ -431,7 +448,7 @@ def _draw(fid, npts=2):
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
-def test_hoisting_bit_identical_on_root_body(k):
+def test_width1_constants_bit_identical_on_root_body(monkeypatch, k):
     fam, scn = _draw("3.7")
     body = next(r for r in X.walk(fam.solution)
                 if isinstance(r, X.RootOf)).body
@@ -441,17 +458,17 @@ def test_hoisting_bit_identical_on_root_body(k):
     env = {"t": JetBatch.variable(iset, "t", rs.uniform(0.2, 1.2, n)),
            "eta": JetBatch.constants(iset, rs.uniform(0.2, 1.2, n)),
            "Z": JetBatch.constants(iset, rs.uniform(0.5, 1.5, n))}
-    got, want, ctx, ctx2 = _hoisted_vs_full_width(body, env, scn, iset, n)
+    widths = _constant_widths(monkeypatch)
+    got, want, ctx, ctx2 = _width1_vs_full_width(body, env, scn, iset, n)
     assert got.data.shape == (iset.K, n)
     assert _same_bits(got.data, want.data)
     assert np.isfinite(got.data).all()
     # the parameter-only subtrees really were evaluated at width 1
-    assert any(isinstance(jb, JetBatch) and jb.data.shape == (iset.K, 1)
-               for _, jb in ctx.hoisted.values())
+    assert widths and {w for *_, w, _ in widths} == {1}
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
-def test_hoisting_bit_identical_on_let(k):
+def test_width1_constants_bit_identical_on_let(k):
     # 5.2's let-bound square root is, once expanded, a parameter-only
     # subtree inside its integrands
     fam, scn = _draw("5.2")
@@ -461,7 +478,7 @@ def test_hoisting_bit_identical_on_let(k):
     n = 3
     env = {v: JetBatch.variable(iset, v, rs.uniform(0.2, 1.2, n))
            for v in fam.variables}
-    got, want, _, _ = _hoisted_vs_full_width(fam.solution, env, scn, iset, n)
+    got, want, _, _ = _width1_vs_full_width(fam.solution, env, scn, iset, n)
     assert got.data.shape == (iset.K, n)
     assert _same_bits(got.data, want.data)
 
@@ -471,7 +488,8 @@ def test_hoisting_bit_identical_on_let(k):
 # xi/a (the integrand) and 10 to 1/a (the integrand and its dummy derivative)
 @pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 150), (1, 160, 170)],
                          ids=["K1", "K4"])
-def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k, xi_a, one_a):
+def test_width1_constants_keep_causes_of_division_below_guard(scn_tx, k, xi_a,
+                                                              one_a):
     # a < DEN_GUARD: the Div with a width-1 denominator and the fully
     # constant Div count their poisoned columns alike
     scn_tx.parameters["a"] = 0.25 * engine.DEN_GUARD
@@ -481,7 +499,7 @@ def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k, xi_a, one_a):
     n = 5
     env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
            for v in ("t", "x")}
-    got, want, ctx, ctx2 = _hoisted_vs_full_width(e, env, scn_tx, iset, n)
+    got, want, ctx, ctx2 = _width1_vs_full_width(e, env, scn_tx, iset, n)
     assert _same_bits(got.data, want.data)
     assert np.isnan(got.data).all()
     assert _kinds_and_counts(ctx) == _kinds_and_counts(ctx2)
@@ -490,10 +508,10 @@ def test_hoisting_keeps_causes_of_division_below_guard(scn_tx, k, xi_a, one_a):
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
-def test_hoisting_constant_base_variable_exponent(scn_tx, k):
+def test_width1_base_under_variable_exponent(scn_tx, monkeypatch, k):
     # in the integrand, a width-1 base under a per-column exponent takes
     # the exponent's width; the constant inner integral is evaluated at
-    # full width, never hoisted
+    # full width
     scn_tx.parameters["a"] = 1.7
     e = parse("int(eta, base(p0), x, a^eta + 2^(t*eta) + (a + 1)^(a*t)"
               " + eta*int(xi, base(p1), a, xi^2))",
@@ -502,12 +520,44 @@ def test_hoisting_constant_base_variable_exponent(scn_tx, k):
     n = 5
     env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
            for v in ("t", "x")}
-    got, want, ctx, ctx2 = _hoisted_vs_full_width(e, env, scn_tx, iset, n)
+    widths = _constant_widths(monkeypatch)
+    got, want, ctx, ctx2 = _width1_vs_full_width(e, env, scn_tx, iset, n)
     assert got.data.shape == (iset.K, n) and np.isfinite(got.data).all()
     assert _same_bits(got.data, want.data)
     assert not ctx.causes and not ctx2.causes
-    assert ctx.hoisted and not any(
-        isinstance(node, (X.Integral, X.RootOf)) for node, _ in ctx.hoisted.values())
+    assert {w for *_, leaf, w, _ in widths if leaf} == {1}
+    assert all(w == m > 1 for *_, leaf, w, m in widths if not leaf)
+    assert any(not leaf for *_, leaf, _, _ in widths)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_parameter_only_subtrees_are_one_column_wide(scn_tx, monkeypatch, k):
+    # the subtree sqrt(a*b + 1) at the top level, in an integrand callback
+    # and in a root body (its bisection and, at K=4, its Newton steps);
+    # eval_batch still returns every column, of a constant tree too
+    scn_tx.parameters.update(a=0.7, b=0.4)
+    penv = Env(variables=("t", "x"), parameters=("a", "b"))
+    sub = parse("sqrt(a*b + 1)", penv)
+    e = parse("x*sqrt(a*b + 1) + int(xi, base(p0), x, xi*sqrt(a*b + 1))"
+              " + rootof(Z, Z^3 + sqrt(a*b + 1)*Z - t, 1)", penv)
+    iset = _isets(("t", "x"))[k]
+    n = 5
+    env = {v: JetBatch.variable(iset, v, np.linspace(0.2, 1.2, n))
+           for v in ("t", "x")}
+    widths = _constant_widths(monkeypatch)
+    ctx = EvalContext(iset, scn_tx)
+    got = eval_batch(e, env, ctx, n)
+    assert got.data.shape == (iset.K, n) and np.isfinite(got.data).all()
+    assert not ctx.causes
+    assert {w for *_, w, _ in widths} == {1}
+    assert {names for node, names, *_ in widths if node == sub} \
+        == {frozenset({"t", "x"}), frozenset({"xi"}), frozenset({"t", "Z"})}
+    assert any(m > 1 for node, *_, m in widths if node == sub)
+    c = eval_batch(parse("sqrt(a*b + 1) + 2", penv), env, ctx, n)
+    assert c.data.shape == (iset.K, n)
+    want = math.sqrt(0.7 * 0.4 + 1) + 2
+    assert np.array_equal(c.data[0], np.full(n, want))
+    assert not c.data[1:].any()
 
 
 _NESTED = ("int(xi, base(p0), x, F(xi)*exp(-a*xi)"

@@ -171,6 +171,21 @@ def test_simplify_identities(before, after):
     assert simplify(rt(before)) == rt(after)
 
 
+def test_simplify_keeps_the_domain_of_exp_ln():
+    # ln(exp(x)) is x for every real x; exp(ln(x)) is x only where x > 0,
+    # and at x = -1 its simplified tree must still be NaN with a domain cause
+    assert simplify(rt("ln(exp(x))")) == rt("x")
+    e = rt("exp(ln(x))")
+    s = simplify(e)
+    iset = IndexSet(("t", "x"), {(0, 0)})
+    env = {v: JetBatch.variable(iset, v, np.array([-1.0])) for v in ("t", "x")}
+    ctx = EvalContext(iset, StubScenario(("t", "x")))
+    with np.errstate(invalid="ignore"):
+        got = eval_batch(s, env, ctx, 1).value()
+    assert np.isnan(got).all()
+    assert [kind for kind, _node in ctx.causes] == ["domain"]
+
+
 _sexprs = st.recursive(
     st.sampled_from(["x", "t", "a", "2", "0", "1"]),
     lambda c: st.one_of(

@@ -293,8 +293,8 @@ def test_k1_results_share_no_memory_with_inputs():
     u = x.data
     out = vo.compose([u[0]], u)
     assert np.array_equal(out, u) and not np.shares_memory(out, u)
-    # a width-1 hoisted argument: the engine broadcasts its derivative
-    # value to the batch width, and chain must copy that read-only view
+    # a read-only broadcast of a width-1 derivative value over the batch:
+    # chain must copy it
     arg = np.array([[0.5]])
     f0 = np.broadcast_to(np.exp(arg[0]), (7,))
     out = vo.chain({(0,): f0}, [arg])
