@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .expr_core import (
-    BasePoint,
     Env,
     Expr,
     FuncApp,
@@ -167,20 +166,15 @@ def _suffix_orders(name: str, variables: tuple[str, ...]) -> tuple[int, ...]:
 
 
 def _collect_base_names(e: Expr) -> tuple[str, ...]:
-    names = []
-    for n in walk(e):
-        if isinstance(n, BasePoint) and n.name not in names:
-            names.append(n.name)
-    return tuple(sorted(names))
+    return tuple(sorted({n.base for n in walk(e) if isinstance(n, Integral)}))
 
 
 def _integral_depth(e: Expr) -> int:
     """The deepest nesting of integrals in e, in one pass.  An integral's
-    limits count at its own level: an integral in a limit is not inside
+    upper limit counts at its own level: an integral in it is not inside
     the integral whose limit it is."""
     if isinstance(e, Integral):
-        return max(1 + _integral_depth(e.integrand),
-                   _integral_depth(e.lower), _integral_depth(e.upper))
+        return max(1 + _integral_depth(e.integrand), _integral_depth(e.upper))
     return max(map(_integral_depth, e.children()), default=0)
 
 

@@ -2,8 +2,9 @@
 
 The expression language covers what the catalog needs: rational arithmetic,
 powers, exp/ln/sqrt/trig, unknown-function applications F(t), a(t, x) and
-their derivatives G'(x), D[1,0]a(t,x), definite integrals with a named base
-point as lower limit, and implicit roots (rootof).  let(name, bound, body)
+their derivatives G'(x), D[1,0]a(t,x), definite integrals from a named base
+point, int(dummy, base, upper, integrand), and implicit roots on a seeded
+branch, rootof(dummy, body, seed).  let(name, bound, body)
 is syntax only: the parser substitutes bound for name in body, so no tree
 holds a binding, and Integral and RootOf are the only binders.
 
@@ -136,17 +137,6 @@ class Param(Expr):
         free.add(self.name)
 
 
-class BasePoint(Expr):
-    """The named base point of an integration dummy; constant per scenario."""
-
-    __slots__ = ("name",)
-    _fields = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._init_caches()
-
-
 class FuncApp(Expr):
     """f(args), optionally differentiated: orders[i] = #derivatives in slot i."""
 
@@ -257,31 +247,35 @@ UNARY = {c.op: c for c in (Exp, Ln, Sqrt, Sin, Cos, Tan)}
 
 
 class Integral(Expr):
-    """int(dummy, lower, upper, integrand); lower is usually BasePoint(dummy)."""
+    """int(dummy, base, upper, integrand): the integral of integrand over
+    dummy from the base point to upper.  base names the base point, a
+    scenario constant, as dummy names the dummy: a literal, not a child.
+    It is written base when it equals dummy and base(name) otherwise."""
 
-    __slots__ = ("dummy", "lower", "upper", "integrand")
-    _fields = ("dummy", "lower", "upper", "integrand")
+    __slots__ = ("dummy", "base", "upper", "integrand")
+    _fields = ("dummy", "base", "upper", "integrand")
     _binds = ("dummy", "integrand")
 
-    def __init__(self, dummy: str, lower: Expr, upper: Expr, integrand: Expr):
+    def __init__(self, dummy: str, base: str, upper: Expr, integrand: Expr):
         self.dummy = dummy
-        self.lower = lower
+        self.base = base
         self.upper = upper
         self.integrand = integrand
         self._init_caches()
 
 
 class RootOf(Expr):
-    """rootof(dummy, body[, seed]): a real z with body[dummy := z] = 0."""
+    """rootof(dummy, body, seed): a real z with body[dummy := z] = 0, on
+    the branch that a solve started at seed finds."""
 
     __slots__ = ("dummy", "body", "seed")
     _fields = ("dummy", "body", "seed")
     _binds = ("dummy", "body")
 
-    def __init__(self, dummy: str, body: Expr, seed: Optional[float] = None):
+    def __init__(self, dummy: str, body: Expr, seed: float):
         self.dummy = dummy
         self.body = body
-        self.seed = None if seed is None else float(seed)
+        self.seed = float(seed)
         self._init_caches()
 
 
@@ -539,16 +533,20 @@ class _Parser:
             self.err("'base' is only valid as an integral lower limit", t)
         self.err(f"unknown identifier {name!r}", t)
 
-    def base_ref(self, dummy: str) -> Expr:
-        """Handles 'base' and 'base(name)' in an integral's lower slot."""
-        if self.peek().kind == "(":
-            self.next()
-            t = self.next()
-            if t.kind != "name":
-                self.err("expected a dummy name in base(...)", t)
-            self.expect(")")
-            return BasePoint(t.text)
-        return BasePoint(dummy)
+    def base_name(self, dummy: str) -> str:
+        """The base point named by an integral's lower limit: 'base' is
+        dummy's own, 'base(name)' name's."""
+        t = self.next()
+        if t.kind != "name" or t.text != "base":
+            self.err("an integral's lower limit is base or base(name)", t)
+        if self.peek().kind != "(":
+            return dummy
+        self.next()
+        t = self.next()
+        if t.kind != "name":
+            self.err("expected a dummy name in base(...)", t)
+        self.expect(")")
+        return t.text
 
     def func_app(self, name: str, t: _Tok, primes: int) -> Expr:
         if name not in self.env.functions:
@@ -602,11 +600,7 @@ class _Parser:
         if kind == "int":
             dummy = self.dummy_name()
             self.expect(",")
-            if self.peek().kind == "name" and self.peek().text == "base":
-                self.next()
-                lower: Expr = self.base_ref(dummy)
-            else:
-                lower = self.expr()
+            base = self.base_name(dummy)
             self.expect(",")
             upper = self.expr()
             self.expect(",")
@@ -614,26 +608,20 @@ class _Parser:
             integrand = self.expr()
             self.scopes.pop()
             self.expect(")")
-            return Integral(dummy, lower, upper, integrand)
+            return Integral(dummy, base, upper, integrand)
         if kind == "rootof":
             dummy = self.dummy_name()
             self.expect(",")
             self.scopes.append(dummy)
             body = self.expr()
             self.scopes.pop()
-            seed = None
-            if self.peek().kind == ",":
+            self.expect(",")
+            neg = self.peek().kind == "-"
+            if neg:
                 self.next()
-                neg = False
-                if self.peek().kind == "-":
-                    self.next()
-                    neg = True
-                num = self.expect("num")
-                seed = float(Fraction(num.text))
-                if neg:
-                    seed = -seed
+            seed = float(Fraction(self.expect("num").text))
             self.expect(")")
-            return RootOf(dummy, body, seed)
+            return RootOf(dummy, body, -seed if neg else seed)
         # let: expanded here; the engine's hash-consing shares the copies
         name = self.dummy_name()
         self.expect(",")
@@ -689,8 +677,6 @@ def to_text(e: Expr) -> str:
         return f"({v.numerator}/{v.denominator})"
     if isinstance(e, (Var, Param)):
         return e.name
-    if isinstance(e, BasePoint):
-        return f"base({e.name})"
     if isinstance(e, FuncApp):
         args = ", ".join(to_text(a) for a in e.args)
         if any(e.orders):
@@ -725,11 +711,9 @@ def to_text(e: Expr) -> str:
     if isinstance(e, _Unary):
         return f"{e.op}({to_text(e.arg)})"
     if isinstance(e, Integral):
-        lo = "base" if isinstance(e.lower, BasePoint) and e.lower.name == e.dummy else to_text(e.lower)
+        lo = "base" if e.base == e.dummy else f"base({e.base})"
         return f"int({e.dummy}, {lo}, {to_text(e.upper)}, {to_text(e.integrand)})"
     if isinstance(e, RootOf):
-        if e.seed is None:
-            return f"rootof({e.dummy}, {to_text(e.body)})"
         return f"rootof({e.dummy}, {to_text(e.body)}, {_fmt_seed(e.seed)})"
     raise ExprError(f"cannot print {e!r}")
 
@@ -782,9 +766,9 @@ def _subst_binder(e, subs: dict, repl_free: frozenset):
     inner_subs = {k: v for k, v in subs.items() if k != dummy}
     body = getattr(e, scope)
     if dummy in repl_free and body._free & inner_subs.keys():
-        # the binder's dummy occurs free in a replacement: rename it.  Base
-        # points are named scenario constants: renaming the dummy does not
-        # rename the base point
+        # the binder's dummy occurs free in a replacement: rename it.  An
+        # integral's base names a scenario constant: renaming the dummy
+        # keeps it
         avoid = set(repl_free) | set(e._free) | {dummy} | set(inner_subs)
         new_dummy = _fresh(dummy, avoid | body._free)
         ren = {dummy: Var(new_dummy)}
@@ -801,8 +785,8 @@ def _subst_binder(e, subs: dict, repl_free: frozenset):
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to the named variable.
-    Integrals follow the full variable-limit rule; rootof uses implicit
-    differentiation."""
+    Integrals follow the variable-upper-limit rule (the base point is a
+    constant); rootof uses implicit differentiation."""
     return _diff(e, var, {})
 
 
@@ -841,7 +825,7 @@ def _prod(factors):
 def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
-    if isinstance(e, (Const, Param, BasePoint)):
+    if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Neg):
         return Neg(_diff(e.arg, var, memo))
@@ -896,13 +880,10 @@ def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Integral):
         terms = []
         if var in e.integrand._free - {e.dummy}:
-            terms.append(Integral(e.dummy, e.lower, e.upper, _diff(e.integrand, var, memo)))
+            terms.append(Integral(e.dummy, e.base, e.upper, _diff(e.integrand, var, memo)))
         if var in e.upper._free:
             du = _diff(e.upper, var, memo)
             terms.append(_prod([substitute(e.integrand, {e.dummy: e.upper}), du]))
-        if var in e.lower._free:
-            dl = _diff(e.lower, var, memo)
-            terms.append(Neg(_prod([substitute(e.integrand, {e.dummy: e.lower}), dl])))
         return _sum(terms)
     if isinstance(e, RootOf):
         # body(z; ...) = 0  =>  dz/dvar = -(d body/d var)/(d body/d z), at z = e
@@ -921,7 +902,8 @@ def _diff_node(e: Expr, var: str, memo: dict) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Value-preserving cleanup: constant folding, neutral-element removal,
-    sign normalization, flattening.  No aggressive rewriting."""
+    sign normalization, flattening.  No aggressive rewriting, and no rule
+    drops an operand: u*0, 0/u and u^0 keep their u, which may be NaN."""
     memo: dict = {}
 
     def simp(n: Expr) -> Expr:
@@ -982,8 +964,6 @@ def _simp_top(e: Expr) -> Expr:
             else:
                 factors.append(f)
         cprod *= sign
-        if cprod == 0:
-            return ZERO
         neg = cprod < 0
         if neg:
             cprod = -cprod
@@ -1003,16 +983,12 @@ def _simp_top(e: Expr) -> Expr:
                 return Const(n.value / d.value)
             if d.value == 1:
                 return n
-        if isinstance(n, Const) and n.value == 0 and not isinstance(d, Const):
-            return ZERO
         if isinstance(n, Neg) and isinstance(d, Neg):
             return Div(n.arg, d.arg)
         return e
     if isinstance(e, Pow):
         n = int_exponent(e.exponent)
         if n is not None:
-            if n == 0:
-                return ONE
             if n == 1:
                 return e.base
             if isinstance(e.base, Const) and e.base.value != 0 and abs(n) <= 16:

@@ -20,13 +20,14 @@ them leave every output bit as it was:
   is the language's only sharing: the parser expands `let`, and the copies
   of its bound value are one object here.  RootOf nodes are never merged:
   each keeps its own root-seed cache entry.
-* A constant is one column wide.  Every constant, parameter and base
-  point is a (K, 1) jet in every context, and a node is as wide as its
-  widest operand, so a subtree of scenario constants is evaluated at
+* A constant is one column wide.  Every constant and parameter is a
+  (K, 1) jet in every context, and a node is as wide as its widest
+  operand, so a subtree of scenario constants is evaluated at
   width 1 and numpy broadcasts it against the batch.  Such a subtree is
   evaluated anew in each callback; inside a root body _ColumnMemo carries
   it, as it carries every column constant.  A value is copied out to
-  full width (_widen) only where numpy needs real columns.
+  full width (_widen) only where numpy needs real columns.  An integral's
+  base point goes to the quadrature driver as one number.
 * Leaf integrands are evaluated in slices.  An integrand with no
   integral or root inside computes each quadrature node on its own, so
   its callback tells Panels.reduce that it is a leaf, and reduce asks for
@@ -244,9 +245,9 @@ def eval_batch(e: X.Expr, env: Dict[str, JetBatch], ctx: EvalContext, ncols: int
 def _widen(jb: JetBatch, n: int) -> JetBatch:
     """jb at width n: a width-1 constant is copied out to n columns.  The
     engine copies only where numpy needs real columns: the result of
-    eval_batch, a real power's base, integral limits, the integrand values
-    Panels reduces (the matmul picks its kernel from the layout), and root
-    body values and Newton steps."""
+    eval_batch, a real power's base, an integral's upper limit, the
+    integrand values Panels reduces (the matmul picks its kernel from the
+    layout), and root body values and Newton steps."""
     if jb.data.shape[1] == n:
         return jb
     return JetBatch(jb.iset, np.repeat(jb.data, n, axis=1))
@@ -289,11 +290,6 @@ def _ev_node(e: X.Expr, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
             return _const(ctx, ctx.scenario.parameters[e.name])
         except KeyError:
             raise EvalError(f"parameter {e.name!r} not bound in scenario") from None
-    if isinstance(e, X.BasePoint):
-        try:
-            return _const(ctx, ctx.scenario.base_points[e.name])
-        except KeyError:
-            raise EvalError(f"base point for {e.name!r} not in scenario") from None
     if isinstance(e, X.Integral):
         return _ev_integral(e, env, ctx, n, memo)
     if isinstance(e, X.RootOf):
@@ -391,8 +387,11 @@ _ARITH = {X.Neg: _ev_neg, X.Add: _ev_add, X.Mul: _ev_mul, X.Div: _ev_div,
 def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> JetBatch:
     if ctx.depth + 1 > NEST_LIMIT:
         raise NestLimitExceeded(f"quadrature nesting deeper than {NEST_LIMIT}")
+    try:
+        base = ctx.scenario.base_points[e.base]
+    except KeyError:
+        raise EvalError(f"base point for {e.base!r} not in scenario") from None
     iset = ctx.iset
-    lo_jb = _widen(_ev(e.lower, env, ctx, n, memo), n)
     up_jb = _widen(_ev(e.upper, env, ctx, n, memo), n)
     subctx = ctx.child()
     names = [nm for nm in env if nm in e.integrand._free]
@@ -417,20 +416,18 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         ctx.record("quad", mask, e)
 
     data = adaptive_gk_batched(
-        integrand_eval, lo_jb.data[0], up_jb.data[0], iset.K, CFG, on_noconv
+        integrand_eval, base, up_jb.data[0], iset.K, CFG, on_noconv
     )
     out = JetBatch(iset, data)
-    if iset.K > 1:
-        for limit_jb, sgn in ((up_jb, 1.0), (lo_jb, -1.0)):
-            if not limit_jb.data[1:].any():
-                continue
-            ejets = []
-            for k in range(iset.max_endpoint_order + 1):
-                gk = _dummy_derivative(e, k)
-                eenv = {nm: env[nm] for nm in env if nm in gk._free}
-                eenv[e.dummy] = JetBatch.constants(iset, limit_jb.data[0])
-                ejets.append(_ev(gk, eenv, ctx, n, {}).data)
-            iset.boundary_accumulate(out.data, ejets, limit_jb.data, sgn)
+    # the base point is a constant: only the upper limit adds boundary terms
+    if iset.K > 1 and up_jb.data[1:].any():
+        ejets = []
+        for k in range(iset.max_endpoint_order + 1):
+            gk = _dummy_derivative(e, k)
+            eenv = {nm: env[nm] for nm in env if nm in gk._free}
+            eenv[e.dummy] = JetBatch.constants(iset, up_jb.data[0])
+            ejets.append(_ev(gk, eenv, ctx, n, {}).data)
+        iset.boundary_accumulate(out.data, ejets, up_jb.data)
     return out
 
 
@@ -516,6 +513,4 @@ def _root_seeds(e: X.RootOf, ctx: EvalContext, n: int) -> np.ndarray:
         if prev.size == n and np.isfinite(prev).all():
             return prev
         return np.full(n, med)
-    if e.seed is not None:
-        return np.full(n, float(e.seed))
-    return np.ones(n)
+    return np.full(n, e.seed)

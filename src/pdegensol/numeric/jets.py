@@ -12,8 +12,8 @@ All derivative propagation is table-driven:
   derivative "positions" (at most 3, so at most 5 partitions),
 * function applications f(u1..um) use the same partitions with blocks
   assigned to argument slots,
-* integrals with variable limits use the boundary tables built here and
-  the quadrature of the integrand's own jet.
+* integrals with a variable upper limit use the boundary tables built
+  here and the quadrature of the integrand's own jet.
 
 Value-only (K=1) batches skip the Leibniz and Faa di Bruno tables: mul
 returns the plain product a * b, bit-identical to the table-driven result,
@@ -283,11 +283,11 @@ class IndexSet:
         )
 
     def boundary_accumulate(
-        self, out: np.ndarray, endpoint_jets: List[np.ndarray], u: np.ndarray, sign: float
+        self, out: np.ndarray, endpoint_jets: List[np.ndarray], u: np.ndarray
     ):
-        """Add the variable-limit terms into out (in place).  endpoint_jets[k]
-        is the jet of the k-th dummy-derivative of the integrand at the
-        limit; u is the limit's jet."""
+        """Add the variable-upper-limit terms into out (in place).
+        endpoint_jets[k] is the jet of the k-th dummy-derivative of the
+        integrand at the limit; u is the limit's jet."""
         for k in range(1, self.K):
             acc = None
             for order, beta_row, rows in self._boundary_table[k]:
@@ -296,7 +296,7 @@ class IndexSet:
                     term = term * u[b]
                 acc = term if acc is None else acc + term
             if acc is not None:
-                out[k] += sign * acc
+                out[k] += acc
 
 
 def _value_row(v, shape) -> np.ndarray:

@@ -190,7 +190,9 @@ def adaptive_gk_batched(
     cfg: NumericConfig,
     on_noconv: Optional[Callable[[np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """Integrate N integrals with K jet rows each.
+    """Integrate N integrals with K jet rows each, from lo to hi.  hi has
+    the N columns; lo broadcasts against it (an integral's base point is
+    one number for every column).
 
     Each round calls evalfn(panels, cols) once with the round's Panels,
     where cols[j] names the integral (column) that panel j belongs to; it
@@ -206,7 +208,7 @@ def adaptive_gk_batched(
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    N = lo.size
+    N = hi.size
     total = np.zeros((N, K))
     dead = np.zeros(N, dtype=bool)  # poisoned by NaN integrand
     noconv = np.zeros(N, dtype=bool)

@@ -71,7 +71,7 @@ def test_leaf_integrand_callback(benchmark, monkeypatch):
 
     def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
         callbacks.append(evalfn)
-        return np.zeros((K, lo.size))
+        return np.zeros((K, hi.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
     eval_batch(e, env, EvalContext(iset, scn), cols)

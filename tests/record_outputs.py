@@ -9,6 +9,8 @@ script in a copy of each side and comparing the two trees:
 
 The set is
 
+* list, and show ID for each of the 25 families (the printer's text of
+  every PDE and solution)
 * verify all --seed 1 --json
 * verify all --seed 7 --json
 * verify 3.7 3.8 5.1 5.2 5.3 --seed 3 --scenarios 2 --points 6
@@ -30,6 +32,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from pdegensol.catalog import family_ids  # noqa: E402
 PINS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                                "NUMEXPR_NUM_THREADS")}
@@ -38,6 +43,9 @@ AXIS = "0.2:1.2:{}"
 
 def commands():
     """(name, pdegensol arguments) of every command in the set."""
+    yield "list", ["list"]
+    for fid in family_ids():
+        yield f"show_{fid}", ["show", fid]
     yield "verify_all_seed1", ["verify", "all", "--seed", "1", "--json"]
     yield "verify_all_seed7", ["verify", "all", "--seed", "7", "--json"]
     yield "verify_probe_seed3", ["verify", "3.7", "3.8", "5.1", "5.2", "5.3",

@@ -67,13 +67,13 @@ def test_integral_depth_in_one_pass():
     for fid in ALL_IDS:
         sol = get_family(fid).solution
         assert _integral_depth(sol) == _depth_by_walk(sol) == STRUCTURE[fid][2]
-    # the lower limit of the middle integral holds a depth-2 nest: it counts
+    # the upper limit of the middle integral holds a depth-2 nest: it counts
     # at the middle integral's level, so the whole nest is 3 deep, not 4
-    e = parse("int(s, base(s), x, int(u, int(v, base(v), s, "
-              "int(w, base(w), v, w)), s, int(r, base(r), u, r*u)))",
+    e = parse("int(s, base(s), x, int(u, base(u), int(v, base(v), s, "
+              "int(w, base(w), v, w)), int(r, base(r), u, r*u)))",
               Env(variables=("x",)))
     assert _integral_depth(e) == _depth_by_walk(e) == 3
-    assert _integral_depth(e.integrand.lower) == 2
+    assert _integral_depth(e.integrand.upper) == 2
 
 
 def _free_names(e, bound=frozenset()):

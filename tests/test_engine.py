@@ -698,7 +698,7 @@ def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
 
     def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
         callbacks.append(evalfn)
-        return np.zeros((K, lo.size))
+        return np.zeros((K, hi.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
     for integrand in ("t", "eta"):

@@ -97,7 +97,7 @@ def test_integral_derivative_through_integrand():
 
 
 def test_rootof_derivative_closed_form():
-    # z(x) = rootof(Z, Z^2 - x): z = sqrt(x), dz/dx = 1/(2 z).
+    # z(x) = rootof(Z, Z^2 - x, 2): z = sqrt(x), dz/dx = 1/(2 z).
     # At x = 4: z = 2, dz/dx = 0.25, d2z/dx2 = -1/32.     [DERIVED]
     scn = StubScenario(("x",))
     env1 = Env(variables=("x",))
@@ -147,6 +147,15 @@ def test_substitute_avoids_capture():
     assert inner.dummy != "xi"
 
 
+def test_substitute_renamed_dummy_keeps_its_base_point():
+    # the base point is a named scenario constant: renaming the dummy away
+    # from a free xi leaves the integral starting where it did
+    e = rt("int(xi, base, x, xi*t)")
+    s = substitute(e, {"t": parse("xi", Env(variables=("xi",)))})
+    assert s.dummy == "xi2" and s.base == "xi"
+    assert to_text(s) == "int(xi2, base(xi), x, xi2*xi)"
+
+
 def test_substitute_leaves_bound_names_alone():
     e = rt("int(xi, base(p0), x, xi^2)")
     s = substitute(e, {"xi": rt("t")})
@@ -159,10 +168,10 @@ def test_substitute_leaves_bound_names_alone():
 @pytest.mark.parametrize("before,after", [
     ("x + 0", "x"),
     ("x*1", "x"),
-    ("x*0", "0"),
+    ("x*0", "0*x"),
     ("x^1", "x"),
-    ("x^0", "1"),
-    ("0/x", "0"),
+    ("x^0", "x^0"),
+    ("0/x", "0/x"),
     ("-(-x)", "x"),
     ("2 + 3", "5"),
     ("2*3", "6"),
@@ -171,19 +180,33 @@ def test_simplify_identities(before, after):
     assert simplify(rt(before)) == rt(after)
 
 
+def _value_and_causes(e, x):
+    # e's value at t = x, value only, and the kinds of the causes it records
+    iset = IndexSet(("t", "x"), {(0, 0)})
+    env = {v: JetBatch.variable(iset, v, np.array([x])) for v in ("t", "x")}
+    ctx = EvalContext(iset, StubScenario(("t", "x")))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = eval_batch(e, env, ctx, 1).value()
+    return got[0], [kind for kind, _node in ctx.causes]
+
+
 def test_simplify_keeps_the_domain_of_exp_ln():
     # ln(exp(x)) is x for every real x; exp(ln(x)) is x only where x > 0,
     # and at x = -1 its simplified tree must still be NaN with a domain cause
     assert simplify(rt("ln(exp(x))")) == rt("x")
-    e = rt("exp(ln(x))")
-    s = simplify(e)
-    iset = IndexSet(("t", "x"), {(0, 0)})
-    env = {v: JetBatch.variable(iset, v, np.array([-1.0])) for v in ("t", "x")}
-    ctx = EvalContext(iset, StubScenario(("t", "x")))
-    with np.errstate(invalid="ignore"):
-        got = eval_batch(s, env, ctx, 1).value()
-    assert np.isnan(got).all()
-    assert [kind for kind, _node in ctx.causes] == ["domain"]
+    v, causes = _value_and_causes(simplify(rt("exp(ln(x))")), -1.0)
+    assert np.isnan(v) and causes == ["domain"]
+
+
+@pytest.mark.parametrize("text,x,want", [("0/x", 0.0, np.nan),
+                                         ("ln(x)*0", -1.0, np.nan),
+                                         ("ln(x)^0", -1.0, 1.0)])
+def test_simplify_keeps_the_domain_of_a_zero_factor(text, x, want):
+    # a zero factor, numerator or exponent keeps its operand, so the
+    # simplified tree keeps the value and the domain cause of the original
+    v, causes = _value_and_causes(simplify(rt(text)), x)
+    assert np.array_equal(v, want, equal_nan=True)
+    assert causes == ["domain"]
 
 
 _sexprs = st.recursive(

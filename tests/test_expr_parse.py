@@ -10,7 +10,6 @@ from pdegensol.expr_core import (
     RESERVED,
     UNARY,
     Add,
-    BasePoint,
     Const,
     Div,
     Env,
@@ -109,10 +108,25 @@ def test_integral_syntax():
     e = rt("int(xi, base(p0), x, F(xi))")
     assert isinstance(e, Integral)
     assert e.dummy == "xi"
-    assert isinstance(e.lower, BasePoint)
+    assert e.base == "p0"
     assert e.upper == Var("x")
     # the dummy is bound: not free in the integral
     assert "xi" not in e.free
+    # a bare base is the dummy's own base point
+    assert rt("int(xi, base, x, F(xi))").base == "xi"
+
+
+@pytest.mark.parametrize("text", ["int(s, 0, x, s)", "int(s, x, x, s)"])
+def test_integral_lower_limit_is_a_base_point(text):
+    # an integral starts at its base point: no other lower limit parses
+    with pytest.raises(ParseError, match="lower limit is base or base"):
+        rt(text)
+
+
+def test_rootof_requires_a_seed():
+    with pytest.raises(ParseError):
+        rt("rootof(Z, Z^2 - x)")
+    assert rt("rootof(Z, Z^2 - x, -0.5)").seed == -0.5
 
 
 def test_rootof_syntax():
@@ -270,7 +284,7 @@ def test_every_node_kind_is_arithmetic_or_leaf_or_binder():
     # the engine evaluates every arithmetic node through one table, and so
     # checks its causes in one place; only leaves and binders stay outside
     concrete = set(_subclasses(Expr)) - {_Unary}
-    others = {Const, Var, Param, BasePoint, Integral, RootOf}
+    others = {Const, Var, Param, Integral, RootOf}
     assert set(engine._ARITH).isdisjoint(others)
     assert set(engine._ARITH) | others == concrete
 
@@ -284,6 +298,6 @@ def test_binders_bind_their_name_in_their_scope_only():
         assert {name_field, scope} <= set(cls._fields)
     # a name used outside the scope of a binder of the same name stays free
     x = Var("x")
-    assert Integral("x", BasePoint("x"), x, x).free == {"x"}
-    assert Integral("x", BasePoint("x"), Var("t"), x).free == {"t"}
+    assert Integral("x", "x", x, x).free == {"x"}
+    assert Integral("x", "x", Var("t"), x).free == {"t"}
     assert RootOf("x", Add([x, Var("t")]), 1.0).free == {"t"}

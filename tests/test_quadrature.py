@@ -65,6 +65,24 @@ def test_zero_length_interval():
     assert quad(lambda x: np.exp(x), 0.7, 0.7) == 0.0
 
 
+@pytest.mark.parametrize("K", [1, 4])
+def test_scalar_lower_limit_gives_the_bits_of_a_repeated_one(K):
+    # an integral's base point is one number for every column: lo given as
+    # a scalar broadcasts against hi, with the bits of lo repeated to
+    # hi.size, for hi above, below and at lo
+    lo = 0.3
+    hi = np.array([1.7, -0.4, 0.3, 2.9, -1.2, 0.31])
+    rows = np.arange(1, K + 1)[:, None]
+
+    def f(panels, cols):
+        return np.cos(rows * panels.nodes() + np.repeat(panels.cols, 15))
+
+    got = adaptive_gk_batched(whole(f), lo, hi, K, CFG)
+    want = adaptive_gk_batched(whole(f), np.full(hi.size, lo), hi, K, CFG)
+    assert got.shape == want.shape == (K, hi.size)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_gk_constants_self_consistent():
     # weights integrate 1 exactly over [-1, 1]; nodes are symmetric
     assert math.fsum(WEIGHTS) == pytest.approx(2.0, abs=1e-12)
@@ -323,7 +341,7 @@ def test_sliced_leaf_round_holds_no_node_length_array(scn_x, monkeypatch):
 
     def keep(evalfn, lo, hi, K, cfg, on_noconv=None):
         callbacks.append(evalfn)
-        return np.zeros((K, lo.size))
+        return np.zeros((K, hi.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
     e = parse("int(s, base(p0), x, sin(s) * x)", Env(variables=("x",)))
