@@ -18,6 +18,7 @@ Nothing here is numeric; evaluation lives in pdegensol.numeric.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -645,9 +646,10 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 25, 30, 40
 
 
 def _fmt_seed(seed: float) -> str:
-    if seed == int(seed):
-        return str(int(seed))
-    return repr(seed)
+    """seed in positional digits, which the tokenizer reads back to the
+    same float (it has no exponent notation); an integer without '.0'."""
+    text = format(Decimal(repr(seed)), "f")
+    return text[:-2] if text.endswith(".0") else text
 
 
 _PREC = {Add: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL, Neg: _PREC_NEG,

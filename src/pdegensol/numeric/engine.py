@@ -7,8 +7,9 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Four things bound the work and the working set of that loop, and all of
-them leave every output bit as it was:
+Five things bound the work and the working set of that loop, and all of
+them leave every output bit as it was (the fifth with one exception, which
+it states):
 
 * Equal subtrees are evaluated once.  Every tree the engine evaluates (the
   argument of eval_batch, a root body, the symbolic derivatives of root
@@ -44,6 +45,17 @@ them leave every output bit as it was:
   probes too, while every column is still searching), and to all its
   jet-Newton steps.  Their memo entries are carried from one such
   evaluation to the next (_ColumnMemo).
+* A derivative-free integrand is integrated at K=1.  Below depth 1 of a
+  nest, an integrand is often bound only to outer dummies, whose
+  derivative rows are zero.  When they are exactly zero for every bound
+  name (a NaN keeps the K path) and the integrand holds no RootOf and no
+  non-integer power (_liftable), _ev_integral runs the driver at K=1 and
+  lifts its integrals to the driver's (K, n) layout, the other rows +0.0
+  where the upper limit is at or above the base point, -0.0 below it and
+  NaN in failed columns, as the K path's all-zero rows sum.  Boundary
+  terms stay at K.  The exception: where a node's value is infinite and
+  a later node makes it finite (exp(-inf)), the K path's inf*0 poisons
+  the column's derivative rows, and so the column.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
@@ -205,6 +217,17 @@ _column_constants = _NodeCache(_column_constant_ids)
 _is_leaf = _NodeCache(
     lambda e: not isinstance(e, (X.Integral, X.RootOf))
     and all(_is_leaf(c) for c in e.children())
+)
+
+
+# no RootOf (jet-Newton moves row 0 at K > 1) and no power with a
+# non-integer exponent (_ev_pow picks its method from the exponent's
+# derivative rows, which a NaN in any column sets) inside: fed derivative
+# rows of zero, the node's row 0 at K > 1 is its value at K=1, bit for bit
+_liftable = _NodeCache(
+    lambda e: not isinstance(e, X.RootOf)
+    and not (isinstance(e, X.Pow) and X.int_exponent(e.exponent) is None)
+    and all(_liftable(c) for c in e.children())
 )
 
 
@@ -393,19 +416,24 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         raise EvalError(f"base point for {e.base!r} not in scenario") from None
     iset = ctx.iset
     up_jb = _widen(_ev(e.upper, env, ctx, n, memo), n)
-    subctx = ctx.child()
     names = [nm for nm in env if nm in e.integrand._free]
+    # derivative rows all zero: integrate the values alone, then lift them
+    lift = (iset.K > 1 and _liftable(e.integrand)
+            and not any(env[nm].data[1:].any() for nm in names))
+    subctx = ctx.value_context().child() if lift else ctx.child()
+    bound = {nm: env[nm].value_rows() if lift else env[nm] for nm in names}
+    qset = subctx.iset
     leaf = _is_leaf(e.integrand)
 
     def at_nodes(panels: Panels, lo: int, hi: int) -> np.ndarray:
         own = panels.cols[lo:hi]
-        ienv = {nm: JetBatch(env[nm].iset, np.repeat(env[nm].data[:, own], 15, axis=1))
-                for nm in names}
+        ienv = {nm: JetBatch(jb.iset, np.repeat(jb.data[:, own], 15, axis=1))
+                for nm, jb in bound.items()}
         # nodes() writes row 0; at K=1 that is the whole jet
-        alloc = np.empty if iset.K == 1 else np.zeros
-        dummy = alloc((iset.K, 15 * own.size))
+        alloc = np.empty if qset.K == 1 else np.zeros
+        dummy = alloc((qset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
-        ienv[e.dummy] = JetBatch(iset, dummy)
+        ienv[e.dummy] = JetBatch(qset, dummy)
         m = dummy.shape[1]
         return _widen(_ev(e.integrand, ienv, subctx, m, {}), m).data
 
@@ -416,8 +444,17 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         ctx.record("quad", mask, e)
 
     data = adaptive_gk_batched(
-        integrand_eval, base, up_jb.data[0], iset.K, CFG, on_noconv
+        integrand_eval, base, up_jb.data[0], qset.K, CFG, on_noconv
     )
+    if lift:
+        # the driver's jet at K, F-ordered: below row 0 its sums of zeros
+        # after the sign flip, and NaN in failed columns (its only NaN sums)
+        v = data[0]
+        total = np.empty((n, iset.K))
+        total[:, 0] = v
+        total[:, 1:] = np.where(np.isnan(v), np.nan, np.where(
+            up_jb.data[0] >= base, 0.0, -0.0))[:, None]
+        data = total.T
     out = JetBatch(iset, data)
     # the base point is a constant: only the upper limit adds boundary terms
     if iset.K > 1 and up_jb.data[1:].any():

@@ -9,12 +9,12 @@ inputs: one function stand-in evaluation at 1e3 and 1e6 points, one
 leaf-integrand callback with its slice reductions on 1e6 quadrature
 nodes, one adaptive quadrature of 4.4's innermost integral over about
 1e6 nodes, one driver round of 1.8e6 panels with a trivial integrand, one
-batch of 3.7's root body, one value-only solve of 5.2's root and one
-evaluation of 5.2's solution jets, both on 20 points.  Three tooling
-cases run the command line in a fresh interpreter.  One runs
-`pdegensol sample 3.8` (5x5, seed 1) and records the child's minor page
-faults and system time in extra_info: what the allocator costs a
-command-line run outside numpy.  Two record the child's own peak RSS and
+batch of 3.7's root body, one value-only solve of 5.2's root, and one
+evaluation each of 5.2's and 4.3's solution jets, all three on 20
+points.  Three tooling cases run the command line in a fresh
+interpreter.  One runs `pdegensol sample 3.8` (5x5, seed 1) and records
+the child's minor page faults and system time in extra_info: what the
+allocator costs a command-line run outside numpy.  Two record the child's own peak RSS and
 the wall time: `pdegensol verify 4.4 --scenarios 1 --points 2 --seed 1`,
 the working set of the deepest solution's residual pass and
 cross-check, and `pdegensol sample 4.4 --grid t=0.2:1.2:6 --grid
@@ -203,6 +203,25 @@ def test_solution_jets_52(benchmark):
 
     out = benchmark(run)
     assert iset.K == 8 and out.data.shape == (8, n)
+    assert np.isfinite(out.data).all()
+
+
+def test_solution_jets_43(benchmark):
+    # 4.3's solution at its own K=4 index set on 20 points, in a fresh
+    # context per call: its nests below depth 1 bind only outer dummies,
+    # whose derivative rows are zero, so they are integrated at K=1
+    fam = get_family("4.3")
+    scn = draw_scenario(fam, _scenario_rng(1, "4.3", 0), 20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    n = len(scn.points)
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+
+    def run():
+        return eval_batch(fam.solution, env, EvalContext(iset, scn), n)
+
+    out = benchmark(run)
+    assert iset.K == 4 and out.data.shape == (4, n)
     assert np.isfinite(out.data).all()
 
 

@@ -684,11 +684,12 @@ _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 2.5e300, 0.75]
                          ids=["whole", "sliced"])
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
 def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
-    # the callback's environment, read back through the integrands t and
-    # eta: a bound name gathered per panel and repeated to its 15 nodes,
-    # and the dummy's jet built in place, equal bit for bit to gathering
-    # by node owners and to JetBatch.constants of the nodes, on columns
-    # that hold NaN, infinities, -0.0 and huge values in every jet row
+    # the callback's environment, read back through the integrands t,
+    # t*eta and eta: a bound name gathered per panel and repeated to its
+    # 15 nodes, and the dummy's jet built in place, equal bit for bit to
+    # gathering by node owners and to JetBatch.constants of the nodes, on
+    # columns that hold NaN, infinities, -0.0 and huge values in every jet
+    # row.  eta alone binds no name, so its callback runs at K=1
     iset = _isets(("t", "x"))[k]
     n = len(_SPECIAL)
     t = np.array([np.roll(_SPECIAL, r) for r in range(iset.K)])
@@ -701,16 +702,21 @@ def test_integrand_callback_environment_bits(scn_tx, monkeypatch, k, npan):
         return np.zeros((K, hi.size))
 
     monkeypatch.setattr(engine, "adaptive_gk_batched", keep)
-    for integrand in ("t", "eta"):
+    for integrand in ("t", "t*eta", "eta"):
         e = parse(f"int(eta, base(p0), x, {integrand})", Env(variables=("t", "x")))
         with np.errstate(all="ignore"):
             eval_batch(e, env, EvalContext(iset, scn_tx), n)
     rs = np.random.default_rng(7)
     panels = _Taken(rs.uniform(-1.0, 1.0, npan), rs.uniform(1e-3, 1.0, npan),
                     np.sort(rs.integers(0, n, npan)))
-    got_t, got_eta = (panels.values(cb) for cb in callbacks)
-    assert _same_bits(got_t, t[:, np.repeat(panels.cols, 15)])
-    assert _same_bits(got_eta, JetBatch.constants(iset, panels.nodes()).data)
+    with np.errstate(all="ignore"):
+        got_t, got_t_eta, got_eta = [panels.values(cb) for cb in callbacks]
+        t_at = t[:, np.repeat(panels.cols, 15)]
+        want = iset.mul(t_at, JetBatch.constants(iset, panels.nodes()).data)
+    assert _same_bits(got_t, t_at)
+    assert _same_bits(got_t_eta, want)
+    assert _same_bits(got_eta, JetBatch.constants(iset.value_only(),
+                                                  panels.nodes()).data)
 
 
 # ---------------------------------------------------------------------------
@@ -886,3 +892,162 @@ def test_root_column_constants_evaluated_once_per_column_set(monkeypatch):
     # (5.2's z-derivative, 2*Z, holds no integral)
     assert fresh["quad"] == 2 * fresh["body"]
     assert 10 * carried["quad"] < fresh["quad"]
+
+
+# ---------------------------------------------------------------------------
+# An integrand whose bound names carry all-zero derivative rows is
+# integrated at K=1 and lifted to the driver's K-row layout; every output
+# bit and cause stays.  The rule is turned off here by patching its
+# structural test, engine._liftable, to refuse every integrand.
+
+
+def _never_lifted(m):
+    m.setattr(engine, "_liftable", lambda e: False)
+
+
+def _driver_ks(m):
+    """The K of every quadrature driver call from now on."""
+    ks = []
+    quad = engine.adaptive_gk_batched
+
+    def spy(evalfn, lo, hi, K, cfg, on_noconv=None):
+        ks.append(K)
+        return quad(evalfn, lo, hi, K, cfg, on_noconv)
+
+    m.setattr(engine, "adaptive_gk_batched", spy)
+    return ks
+
+
+@pytest.mark.parametrize("fid", [f for f in family_ids()
+                                 if get_family(f).sol_depth])
+def test_value_only_integrands_bit_identical(monkeypatch, fid):
+    fam, scn = _draw(fid, npts=3)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    with monkeypatch.context() as m:
+        ks_on = _driver_ks(m)
+        lifted = _solution_jets(fam, scn, iset)
+    with monkeypatch.context() as m:
+        _never_lifted(m)
+        ks_off = _driver_ks(m)
+        plain = _solution_jets(fam, scn, iset)
+    assert iset.K > 1
+    assert _same_bits(lifted[0], plain[0])
+    assert np.isfinite(lifted[0]).all()
+    assert set(lifted[1]) == set(plain[1])
+    if fid in ("4.3", "4.4"):
+        # the nests below depth 1 run at K=1
+        assert 1 in ks_on and 1 not in ks_off
+
+
+_LIFT_ENV = Env(variables=("t", "x", "u"))
+
+
+def _lift_case(monkeypatch, scn, text, u, t):
+    """text evaluated with u and t bound with all-zero derivative rows (a
+    NaN column is NaN in every row) and x as the variable: at K4 with the
+    rule on, at K4 with it off, and at K=1.  Each gives its jet and cause
+    tally; the first also the K of every driver call."""
+    e = parse(text, _LIFT_ENV)
+    k4 = _isets(("t", "x"))[1]
+    n = u.size
+
+    def run(iset):
+        env = {"t": JetBatch.constants(iset, t),
+               "x": JetBatch.variable(iset, "x", np.linspace(0.2, 1.2, n)),
+               "u": JetBatch.constants(iset, u)}
+        for jb in env.values():
+            jb.data[:, np.isnan(jb.data[0])] = np.nan
+        ctx = EvalContext(iset, scn)
+        with np.errstate(all="ignore"):
+            return eval_batch(e, env, ctx, n).data, ctx.causes
+
+    with monkeypatch.context() as m:
+        ks = _driver_ks(m)
+        on = run(k4)
+    with monkeypatch.context() as m:
+        _never_lifted(m)
+        off = run(k4)
+    return on, off, run(k4.value_only()), ks
+
+
+_ONES = np.ones(4)
+
+
+# lifted: whether the rule integrates at K=1; hi: the upper limit's sign
+# per column, where it has no derivative rows and so adds no boundary term
+@pytest.mark.parametrize("text, u, t, lifted, hi", [
+    # hi below, at (+0.0 and -0.0) and above the base point 0
+    ("int(s, base(p0), u, exp(s) + s^2)",
+     np.array([-0.7, 0.0, -0.0, 1.1]), _ONES, True,
+     np.array([-1.0, 0.0, -0.0, 1.0])),
+    # a NaN upper limit (sqrt(-1)), whose NaN rows add boundary terms,
+    # and one below the base point
+    ("int(s, base(p0), sqrt(u) - 1/2, exp(s)*t)",
+     np.array([0.49, -1.0, 2.0, 0.04]), _ONES, True, None),
+    # the integrand is poisoned on part of column 1's range
+    ("int(s, base(p0), u, ln(s - t))",
+     _ONES, np.array([-1.0, 0.5, -2.0, -1.0]), True, _ONES),
+    # a bound name poisoned in column 2: its NaN rows keep the K path
+    ("int(s, base(p0), u, exp(s)*t)",
+     _ONES, np.array([1.0, 2.0, np.nan, 0.5]), False, None),
+    # a root inside: jet-Newton moves row 0 at K > 1
+    ("int(s, base(p0), u, rootof(Z, Z^3 + Z - s*t, 1))",
+     np.array([0.3, 0.6, -0.4, 1.0]), _ONES, False, None),
+], ids=["reversed", "nan_limit", "poisoned_integrand", "poisoned_name",
+        "rootof"])
+def test_lifted_integral_bits(scn_tx, monkeypatch, text, u, t, lifted, hi):
+    on, off, k1, ks = _lift_case(monkeypatch, scn_tx, text, u, t)
+    assert _same_bits(on[0], off[0])
+    assert on[1] == off[1]
+    K = on[0].shape[0]
+    assert ks == ([1] if lifted else [K])
+    if lifted:
+        assert _same_bits(on[0][0], k1[0][0])
+    if hi is not None:
+        # row 0 is the K=1 integral, the other rows +0.0 where hi >= 0,
+        # -0.0 where hi < 0 and NaN where the integral failed
+        want = np.where(np.isnan(k1[0][0]), np.nan,
+                        np.where(hi >= 0.0, 0.0, -0.0))
+        assert _same_bits(on[0][1:], np.tile(want, (K - 1, 1)))
+
+
+def test_variable_real_exponent_stays_on_the_k_path(scn_tx, monkeypatch):
+    # _ev_pow picks b**e when the exponent's derivative rows are all zero
+    # and exp(e*ln(b)) otherwise, over the whole batch.  Column 1's
+    # sqrt(t - s) is poisoned for s > 0.1, and its NaN rows turn every
+    # column of the K path's first round to exp(e*ln(b)), where K=1 takes
+    # b**e: the two differ in last bits on the healthy columns.  So an
+    # integrand with a non-integer power is never lifted
+    text = "int(s, base(p0), u, (1 + s)^sqrt(t - s))"
+    u = np.full(4, 0.3)
+    t = np.array([2.0, 0.1, 1.5, 3.0])
+    on, off, k1, ks = _lift_case(monkeypatch, scn_tx, text, u, t)
+    assert ks == [on[0].shape[0]]
+    assert _same_bits(on[0], off[0]) and on[1] == off[1]
+    healthy = [0, 2, 3]
+    assert np.isnan(k1[0][0, 1]) and np.isfinite(k1[0][0, healthy]).all()
+    # lifted regardless, it would give the K=1 bits, which are not the K
+    # path's; without the poisoned column they are
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_liftable", lambda e: True)
+        forced = _lift_case(monkeypatch, scn_tx, text, u, t)[0]
+        assert not _same_bits(forced[0][0, healthy], off[0][0, healthy])
+        t[1] = 2.5
+        forced, off = _lift_case(monkeypatch, scn_tx, text, u, t)[:2]
+        assert _same_bits(forced[0], off[0])
+
+
+def test_damped_overflow_is_integrated_at_k1(scn_tx, monkeypatch):
+    # the one place the rule moves bits: (10^100*s)^8 overflows to inf and
+    # exp(-inf) = 0 brings the value back.  The K path's derivative rows
+    # meet inf*0 there, so its integrand is NaN in every derivative row and
+    # the column fails; lifted, the column integrates its finite values as
+    # the K=1 evaluation does.  Both record the overflow
+    text = "int(s, base(p0), u, exp(-(10^100*s)^8))"
+    on, off, k1, ks = _lift_case(monkeypatch, scn_tx, text,
+                                 np.array([0.5, 0.8]), np.ones(2))
+    assert ks == [1]
+    assert np.isnan(off[0]).all()
+    assert _same_bits(on[0][0], k1[0][0]) and np.isfinite(on[0][0]).all()
+    assert set(on[1]) == set(off[1]) == set(k1[1])
+    assert {kind for kind, _node in on[1]} == {"overflow"}

@@ -2,6 +2,7 @@
 primitive."""
 
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,32 @@ def test_rootof_syntax():
     assert e.seed == 2
     assert "Z" not in e.free
     assert "x" in e.free
+
+
+def _seed_round_trip(seed):
+    text = to_text(RootOf("Z", Var("Z"), seed))
+    got = rt(text).seed
+    # equal bits: -0.0 keeps its sign
+    assert math.copysign(1.0, got) == math.copysign(1.0, seed) and got == seed
+    return text
+
+
+@pytest.mark.parametrize("seed", [1e-5, -2.5e-7, 1e22, 5e-324])
+def test_rootof_seed_round_trip(seed):
+    # a seed is printed in positional digits: the tokenizer reads no
+    # exponent notation
+    assert "e" not in _seed_round_trip(seed).split(",")[-1]
+
+
+def test_catalog_seeds_print_as_written():
+    assert [_seed_round_trip(s).split(", ")[-1] for s in (1.0, 0.5, 2.0, -1.0)] \
+        == ["1)", "0.5)", "2)", "-1)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_rootof_seed_round_trip_any_finite(seed):
+    _seed_round_trip(seed)
 
 
 def test_let_syntax():
