@@ -7,7 +7,7 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Five things bound the work and the working set of that loop, and all of
+Six things bound the work and the working set of that loop, and all of
 them leave every output bit as it was (the fifth with one exception, which
 it states):
 
@@ -24,11 +24,12 @@ it states):
 * A constant is one column wide.  Every constant and parameter is a
   (K, 1) jet in every context, and a node is as wide as its widest
   operand, so a subtree of scenario constants is evaluated at
-  width 1 and numpy broadcasts it against the batch.  Such a subtree is
-  evaluated anew in each callback; inside a root body _ColumnMemo carries
-  it, as it carries every column constant.  A value is copied out to
-  full width (_widen) only where numpy needs real columns.  An integral's
-  base point goes to the quadrature driver as one number.
+  width 1 and numpy broadcasts it against the batch.  In an integrand
+  such a subtree is a column invariant (the sixth bullet); inside a root
+  body _ColumnMemo carries it, as it carries every column constant.  A
+  value is copied out to full width (_widen) only where numpy needs real
+  columns.  An integral's base point goes to the quadrature driver as one
+  number.
 * Leaf integrands are evaluated in slices.  An integrand with no
   integral or root inside computes each quadrature node on its own, so
   its callback tells Panels.reduce that it is a leaf, and reduce asks for
@@ -56,6 +57,21 @@ it states):
   terms stay at K.  The exception: where a node's value is infinite and
   a later node makes it finite (exp(-inf)), the K path's inf*0 poisons
   the column's derivative rows, and so the column.
+* An integrand's column invariants are evaluated once per integral call.
+  A column invariant (_invariants) is a maximal subtree of an integrand,
+  nested integrands included, that holds no dummy bound there (the
+  integral's own or an inner one's), no Integral or RootOf (_is_leaf) and
+  no non-integer power (_liftable: _ev_pow picks its method from the whole
+  batch), and is more than a bare Var or Const.  It takes one value per
+  column, so _ev_integral evaluates it once in the enclosing scope (its
+  environment, context and memo, at width n; cut to its value row when
+  the integral is lifted) and seeds each callback's memo with it, spread
+  to the nodes as a bound name is; a width-1 value stays one column wide.
+  A nested integral finds its own invariants in that seeded memo.  A
+  RootOf is never descended into or rebuilt, and no node is rebuilt.  A
+  poisoned invariant counts its columns once per call, not once per
+  node, and it is also counted on the columns whose integral has zero
+  length, where the driver evaluates no node.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
@@ -229,6 +245,31 @@ _liftable = _NodeCache(
     and not (isinstance(e, X.Pow) and X.int_exponent(e.exponent) is None)
     and all(_liftable(c) for c in e.children())
 )
+
+
+def _invariant_nodes(e: X.Integral) -> tuple:
+    """The column invariants of integral e: the maximal subtrees of its
+    integrand, nested integrands included, that hold no dummy bound there
+    (e.dummy or an inner one), are _is_leaf and _liftable, and are more
+    than a bare Var or Const.  A RootOf is never descended into."""
+    found: Dict[int, X.Expr] = {}
+
+    def visit(t: X.Expr, dummies: frozenset) -> None:
+        if dummies.isdisjoint(t._free) and _is_leaf(t) and _liftable(t):
+            if not isinstance(t, (X.Var, X.Const)):
+                found[id(t)] = t
+        elif isinstance(t, X.Integral):
+            visit(t.upper, dummies)
+            visit(t.integrand, dummies | {t.dummy})
+        elif not isinstance(t, X.RootOf):
+            for c in t.children():
+                visit(c, dummies)
+
+    visit(e.integrand, frozenset({e.dummy}))
+    return tuple(found.values())
+
+
+_invariants = _NodeCache(_invariant_nodes)
 
 
 def _dummy_derivative(e, k: int) -> X.Expr:
@@ -422,20 +463,29 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
             and not any(env[nm].data[1:].any() for nm in names))
     subctx = ctx.value_context().child() if lift else ctx.child()
     bound = {nm: env[nm].value_rows() if lift else env[nm] for nm in names}
+    # the column invariants, evaluated once here and spread to the nodes
+    # like a bound name
+    invariants = [(id(t), _ev(t, env, ctx, n, memo)) for t in _invariants(e)]
+    if lift:
+        invariants = [(k, jb.value_rows()) for k, jb in invariants]
     qset = subctx.iset
     leaf = _is_leaf(e.integrand)
 
     def at_nodes(panels: Panels, lo: int, hi: int) -> np.ndarray:
         own = panels.cols[lo:hi]
-        ienv = {nm: JetBatch(jb.iset, np.repeat(jb.data[:, own], 15, axis=1))
-                for nm, jb in bound.items()}
+
+        def spread(jb: JetBatch) -> JetBatch:
+            return JetBatch(jb.iset, np.repeat(jb.data[:, own], 15, axis=1))
+
+        ienv = {nm: spread(jb) for nm, jb in bound.items()}
+        imemo = {k: jb if jb.n == 1 else spread(jb) for k, jb in invariants}
         # nodes() writes row 0; at K=1 that is the whole jet
         alloc = np.empty if qset.K == 1 else np.zeros
         dummy = alloc((qset.K, 15 * own.size))
         panels.nodes(lo, hi, out=dummy[0])
         ienv[e.dummy] = JetBatch(qset, dummy)
         m = dummy.shape[1]
-        return _widen(_ev(e.integrand, ienv, subctx, m, {}), m).data
+        return _widen(_ev(e.integrand, ienv, subctx, m, imemo), m).data
 
     def integrand_eval(panels: Panels, cols: np.ndarray) -> None:
         panels.reduce(lambda lo, hi: at_nodes(panels, lo, hi), leaf)

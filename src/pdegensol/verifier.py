@@ -339,10 +339,11 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
               solution: Optional[X.Expr] = None,
               ) -> Tuple[np.ndarray, np.ndarray, IndexSet, set]:
     """Relative PDE residual at each point of `solution` (default: the
-    family's), the solution jet rows, their index set, and the cause kinds
-    the solution's evaluation recorded.  A point comes back NaN in the jet
-    rows when its jet is not finite, and NaN in the residual when its jet
-    or any PDE term is not finite."""
+    family's), the solution jet rows, their index set, and the kinds of
+    the causes that poisoned a column in the evaluations of the solution
+    and of the PDE terms.  A point comes back NaN in the jet rows when its
+    jet is not finite, and NaN in the residual when its jet or any PDE
+    term is not finite."""
     n = len(pts)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
     ctx = EvalContext(iset, scn)
@@ -366,7 +367,7 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
     rel[~jet_ok | ~np.isfinite(vals).all(axis=0)] = np.nan
     data = jb.data.copy()
     data[:, ~jet_ok] = np.nan
-    return rel, data, iset, {k for k, _ in ctx.causes}
+    return rel, data, iset, {k for k, _ in ctx.causes + ctx0.causes}
 
 
 # Nested quadrature fans out per column (~15^depth inner evaluations), so
@@ -388,14 +389,15 @@ def scenario_residuals(
     fam: PdeFamily,
     scn: Scenario,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, IndexSet, int]:
+) -> Tuple[np.ndarray, np.ndarray, IndexSet, int, set]:
     """Residuals at the scenario's points, replacing points that poison
     with new draws from rng (dropping one column, not the scenario), for
     up to MAX_RESAMPLE_ROUNDS rounds; a point still unevaluable after that
     keeps a NaN residual.  This is the one place an unevaluable point is
     handled.  An EvalError (a malformed tree, an unbound name, the nesting
     limit) no redraw can fix, so it propagates.  Returns (rel, jet_rows,
-    index_set, n_resampled); scn.points holds the final points."""
+    index_set, n_resampled, kinds), kinds being the cause kinds of the
+    last round's evaluations; scn.points holds the final points."""
     n = len(scn.points)
     rel = np.full(n, np.nan)
     data = None
@@ -407,6 +409,7 @@ def scenario_residuals(
         rel_t = np.concatenate([p[0] for p in parts])
         data_t = np.concatenate([p[1] for p in parts], axis=1)
         iset = parts[0][2]
+        kinds = set().union(*(p[3] for p in parts))
         if data is None:
             data = np.full((data_t.shape[0], n), np.nan)
         rel[todo] = rel_t
@@ -417,7 +420,7 @@ def scenario_residuals(
         scn.points[bad] = _draw_points(rng, fam, bad.size)
         resampled += int(bad.size)
         todo = bad
-    return rel, data, iset, resampled
+    return rel, data, iset, resampled, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +606,18 @@ def _scenario_row(fam: PdeFamily, idx: int, scn: Scenario,
     """The report row of scenario idx, drawn as scn, and a note when some
     point stayed unevaluable.  The cross-check visits the first points and,
     when a residual exceeds tol, the worst-residual points too: the jets
-    must agree where the residual failed."""
-    rel, jet_data, iset, resampled = scenario_residuals(fam, scn, rng)
+    must agree where the residual failed.  An unevaluable scenario's row
+    and note name the cause kinds of its last resampling round."""
+    rel, jet_data, iset, resampled, kinds = scenario_residuals(fam, scn, rng)
     row = {"index": idx, "resampled_points": resampled}
     bad = int(np.count_nonzero(~np.isfinite(rel)))
     if bad:
-        row.update(status="eval_incomplete", parameters=scn.parameters)
+        causes = sorted(kinds)
+        row.update(status="eval_incomplete", causes=causes,
+                   parameters=scn.parameters)
         return row, (f"scenario {idx}: {bad} point(s) unevaluable after "
-                     f"resampling")
+                     f"resampling (causes: "
+                     f"{', '.join(causes) or 'none recorded'})")
     mx = float(rel.max())
     row.update(status="ok", max_rel_residual=mx,
                sampling_attempts=scn.sampling_attempts,

@@ -10,7 +10,7 @@ leaf-integrand callback with its slice reductions on 1e6 quadrature
 nodes, one adaptive quadrature of 4.4's innermost integral over about
 1e6 nodes, one driver round of 1.8e6 panels with a trivial integrand, one
 batch of 3.7's root body, one value-only solve of 5.2's root, and one
-evaluation each of 5.2's and 4.3's solution jets, all three on 20
+evaluation each of 5.2's, 4.3's and 6.5's solution jets, all four on 20
 points.  Three tooling cases run the command line in a fresh
 interpreter.  One runs `pdegensol sample 3.8` (5x5, seed 1) and records
 the child's minor page faults and system time in extra_info: what the
@@ -222,6 +222,25 @@ def test_solution_jets_43(benchmark):
 
     out = benchmark(run)
     assert iset.K == 4 and out.data.shape == (4, n)
+    assert np.isfinite(out.data).all()
+
+
+def test_solution_jets_65(benchmark):
+    # 6.5's solution at its own K=6 index set on 20 points, in a fresh
+    # context per call: its nested integrand's exp(2*m*t) and the outer
+    # integrand's F(t) are column invariants, evaluated once per call
+    fam = get_family("6.5")
+    scn = draw_scenario(fam, _scenario_rng(1, "6.5", 0), 20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    n = len(scn.points)
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+
+    def run():
+        return eval_batch(fam.solution, env, EvalContext(iset, scn), n)
+
+    out = benchmark(run)
+    assert iset.K == 6 and out.data.shape == (6, n)
     assert np.isfinite(out.data).all()
 
 

@@ -187,7 +187,7 @@ def test_criterion_5_oracle_battery(capsys):
         fam = get_family(fid)
         rng = np.random.default_rng(np.random.SeedSequence([99, _famkey(fid)]))
         scn = draw_scenario(fam, rng, 10)
-        rel, data, iset, _ = scenario_residuals(fam, scn, rng)
+        rel, data, iset, _, _ = scenario_residuals(fam, scn, rng)
         dev = crosscheck_derivatives(fam, scn, data, iset, np.arange(10))
         if dev > worst_fd:
             worst_fd, worst_fam = dev, fid

@@ -51,6 +51,22 @@ def test_verify_json_mode(capsys):
     assert all(r["verdict"] == "PASS" for r in reports)
 
 
+def test_unevaluable_scenario_states_its_cause(capsys):
+    # shifted 5 from the box, 3.3's integrals do not converge at the drawn
+    # points, and resampling cannot help: the row and the note say so
+    argv = ["verify", "3.3", "--base-shift", "5", "--scenarios", "1",
+            "--points", "3"]
+    assert main(argv) == 3
+    note = ("scenario 0: 3 point(s) unevaluable after resampling"
+            " (causes: quad)")
+    assert f"note: {note}" in capsys.readouterr().out
+    assert main(argv + ["--json"]) == 3
+    rep = json.loads(capsys.readouterr().out)[0]
+    assert rep["verdict"] == "INDETERMINATE" and rep["notes"] == [note]
+    row = rep["scenarios"][0]
+    assert row["status"] == "eval_incomplete" and row["causes"] == ["quad"]
+
+
 def test_verify_set_override(capsys):
     rc = main(["verify", "3.1", "--scenarios", "1", "--points", "4",
                "--set", "c=0", "--json"])

@@ -484,9 +484,11 @@ def test_width1_constants_bit_identical_on_let(k):
 
 
 # the helper evaluates twice: per pass, 15 nodes of each of the 5 columns in
-# the integrand, and at K=4 the upper-limit boundary terms add 5 columns to
-# xi/a (the integrand) and 10 to 1/a (the integrand and its dummy derivative)
-@pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 150), (1, 160, 170)],
+# the integrand for xi/a, and the 5 columns once for 1/a, a column
+# invariant of the integral; at K=4 the upper-limit boundary terms add 5
+# columns to xi/a (the integrand) and 10 to 1/a (the integrand and its
+# dummy derivative)
+@pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 10), (1, 160, 30)],
                          ids=["K1", "K4"])
 def test_width1_constants_keep_causes_of_division_below_guard(scn_tx, k, xi_a,
                                                               one_a):
@@ -532,9 +534,11 @@ def test_width1_base_under_variable_exponent(scn_tx, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
 def test_parameter_only_subtrees_are_one_column_wide(scn_tx, monkeypatch, k):
-    # the subtree sqrt(a*b + 1) at the top level, in an integrand callback
-    # and in a root body (its bisection and, at K=4, its Newton steps);
-    # eval_batch still returns every column, of a constant tree too
+    # the subtree sqrt(a*b + 1) at the top level, as a column invariant of
+    # the integral (evaluated once in the enclosing scope), at K=4 in the
+    # upper limit's boundary terms, and in a root body (its bisection and,
+    # at K=4, its Newton steps); eval_batch still returns every column, of
+    # a constant tree too
     scn_tx.parameters.update(a=0.7, b=0.4)
     penv = Env(variables=("t", "x"), parameters=("a", "b"))
     sub = parse("sqrt(a*b + 1)", penv)
@@ -551,7 +555,8 @@ def test_parameter_only_subtrees_are_one_column_wide(scn_tx, monkeypatch, k):
     assert not ctx.causes
     assert {w for *_, w, _ in widths} == {1}
     assert {names for node, names, *_ in widths if node == sub} \
-        == {frozenset({"t", "x"}), frozenset({"xi"}), frozenset({"t", "Z"})}
+        == {frozenset({"t", "x"}), frozenset({"t", "Z"})} \
+        | ({frozenset({"xi"})} if k else set())
     assert any(m > 1 for node, *_, m in widths if node == sub)
     c = eval_batch(parse("sqrt(a*b + 1) + 2", penv), env, ctx, n)
     assert c.data.shape == (iset.K, n)
@@ -1051,3 +1056,189 @@ def test_damped_overflow_is_integrated_at_k1(scn_tx, monkeypatch):
     assert _same_bits(on[0][0], k1[0][0]) and np.isfinite(on[0][0]).all()
     assert set(on[1]) == set(off[1]) == set(k1[1])
     assert {kind for kind, _node in on[1]} == {"overflow"}
+
+
+# ---------------------------------------------------------------------------
+# An integrand's column invariants (the subtrees free of every dummy bound
+# in it, with no integral, root or non-integer power inside) are evaluated
+# once per integral call in the enclosing scope and spread to the nodes;
+# every output bit and cause kind stays.  The rule is turned off here by
+# patching engine._invariants to find none.
+
+
+def _no_invariants(m):
+    m.setattr(engine, "_invariants", lambda e: ())
+
+
+@pytest.mark.parametrize("fid", [f for f in family_ids()
+                                 if get_family(f).sol_depth])
+def test_column_invariants_bit_identical(monkeypatch, fid):
+    fam, scn = _draw(fid, npts=3)
+    full = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    for iset in (full.value_only(), full):
+        on = _solution_jets(fam, scn, iset)
+        with monkeypatch.context() as m:
+            _no_invariants(m)
+            off = _solution_jets(fam, scn, iset)
+        assert _same_bits(on[0], off[0])
+        assert np.isfinite(on[0]).all()
+        assert {k for k, _ in on[1]} == {k for k, _ in off[1]}
+
+
+_INV_ENV = Env(variables=("t", "x", "u"), parameters=("a",),
+               functions={"F": 1})
+
+
+def _invariant_case(monkeypatch, scn, text, env, iset):
+    """text evaluated on env with the rule on and off, each as (jet, cause
+    tally); the jets must agree bit for bit."""
+    e = engine._interned(parse(text, _INV_ENV))
+
+    def run():
+        ctx = EvalContext(iset, scn)
+        with np.errstate(all="ignore"):
+            return eval_batch(e, env, ctx, env["x"].n).data, ctx.causes
+
+    on = run()
+    with monkeypatch.context() as m:
+        _no_invariants(m)
+        off = run()
+    assert _same_bits(on[0], off[0])
+    return e, on, off
+
+
+def _invariant_texts(e):
+    """The column invariants of every integral in e, as text."""
+    return {X.to_text(t) for i in X.walk(e) if isinstance(i, X.Integral)
+            for t in engine._invariants(i)}
+
+
+def _tx_env(iset, t, x):
+    return {"t": JetBatch.variable(iset, "t", np.asarray(t, dtype=float)),
+            "x": JetBatch.variable(iset, "x", np.asarray(x, dtype=float))}
+
+
+@pytest.fixture
+def scn_inv(scn_tx):
+    scn_tx.parameters["a"] = 0.7
+    scn_tx.functions["F"] = mk_poly1("F", {0: 0.3, 1: -0.8, 2: 0.4})
+    return scn_tx
+
+
+@pytest.mark.parametrize("size", [7, None], ids=["sliced", "whole"])
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_nested_invariants_bits(scn_inv, monkeypatch, k, size):
+    # the outer upper limit t has derivative rows at K=4, so boundary terms
+    # run; sin(x*t) and F(x) are invariants of both integrals, and the inner
+    # integral finds them in its callback's seeded memo, spread slice by
+    # slice at 7-node slices (whole 4-panel blocks)
+    text = ("int(xi, base(p0), t, exp(a*x)*xi"
+            " + int(eta, base(p1), xi, sin(x*t)*eta + F(x)))")
+    if size:
+        monkeypatch.setattr(quadrature, "_LEAF_SLICE", size)
+    iset = _isets(("t", "x"))[k]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(0.3, 0.9, 5))
+    sin_evals = []
+    real = engine._ev_node
+
+    def spy(e, env, ctx, n, memo):
+        if isinstance(e, X.Sin):
+            sin_evals.append(n)
+        return real(e, env, ctx, n, memo)
+
+    monkeypatch.setattr(engine, "_ev_node", spy)
+    e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert np.isfinite(on[0]).all() and not on[1] and not off[1]
+    assert {"exp(a*x)", "sin(x*t)", "F(x)"} <= _invariant_texts(e)
+    if not k:
+        # once per call on the 5 columns with the rule on; with it off, at
+        # the inner nodes of every callback
+        assert sin_evals[0] == 5 and len(sin_evals) > 1
+        assert all(m > 5 for m in sin_evals[1:])
+
+
+def test_lifted_integrand_with_invariant_bits(scn_inv, monkeypatch):
+    # t and u bound with all-zero derivative rows: the integral is lifted,
+    # and its invariant cos(t*u) is evaluated at K and cut to its value row
+    text = "int(s, base(p0), u, exp(s)*cos(t*u) + t)"
+    iset = _isets(("t", "x"))[1]
+    env = _tx_env(iset, np.zeros(4), np.linspace(0.2, 1.2, 4))
+    env["t"] = JetBatch.constants(iset, np.array([0.5, 1.0, 2.0, -1.5]))
+    env["u"] = JetBatch.constants(iset, np.array([0.3, -0.6, 1.1, 0.0]))
+    with monkeypatch.context() as m:
+        ks = _driver_ks(m)
+        e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert ks == [1, 1] and np.isfinite(on[0]).all()
+    assert "cos(t*u)" in _invariant_texts(e)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_wholly_invariant_integrand_bits(scn_inv, monkeypatch, k):
+    text = "int(xi, base(p0), x, t^2 + a)"
+    iset = _isets(("t", "x"))[k]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(-0.5, 0.9, 5))
+    e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert engine._invariants(e) == (e.integrand,)
+    assert np.isfinite(on[0]).all()
+    assert np.allclose(on[0][0], (env["t"].data[0]**2 + 0.7) * env["x"].data[0])
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_poisoning_invariant_counts_once_per_call(scn_inv, monkeypatch, k):
+    # sqrt(t - 1) is poisoned in the 4 columns where t < 1: the rule counts
+    # them once per call, per-node evaluation at every node it visits
+    text = "int(xi, base(p0), x, xi*sqrt(t - 1))"
+    iset = _isets(("t", "x"))[k]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(0.3, 0.9, 5))
+    e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert np.isnan(on[0][:, :4]).all() and np.isfinite(on[0][:, 4]).all()
+    assert set(on[1]) == set(off[1])
+    assert {(kind, X.to_text(node)) for kind, node in on[1]} \
+        == {("domain", "sqrt(t - 1)")}
+    got, was = sum(on[1].values()), sum(off[1].values())
+    assert got < was
+    if not k:
+        assert got == 4
+
+
+def test_invariant_counted_on_a_zero_length_column(scn_inv, monkeypatch):
+    # column 0's upper limit is the base point, so the driver never visits
+    # it and its integral is 0 whatever the integrand; the invariant
+    # sqrt(t - 1), poisoned there only, is counted there with the rule on
+    text = "int(xi, base(p0), x, xi*sqrt(t - 1))"
+    iset = _isets(("t", "x"))[0]
+    env = _tx_env(iset, [0.5, 2.0, 3.0], [0.0, 0.5, 1.0])
+    e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert np.isfinite(on[0]).all() and on[0][0, 0] == 0.0
+    assert {(kind, X.to_text(node)): c for (kind, node), c in on[1].items()} \
+        == {("domain", "sqrt(t - 1)"): 1}
+    assert not off[1]
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_real_powers_and_roots_stay_in_place(scn_inv, monkeypatch, k):
+    # (t + 1)^(a*t) picks its method from the whole batch and a RootOf
+    # keeps its seeds: neither is hoisted, the RootOf is not descended
+    # into, and the RootOf evaluated is the tree's own object
+    text = ("int(xi, base(p0), x, xi*(t + 1)^(a*t)"
+            " + xi*rootof(Z, Z^3 + Z - t, 1)"
+            " + rootof(Z, Z^3 + Z - xi*t, 1))")
+    iset = _isets(("t", "x"))[k]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 4), np.linspace(0.3, 0.9, 4))
+    roots = []
+    real = engine._ev_rootof
+
+    def spy(e, env, ctx, n, memo):
+        # in a callback; at K=4 the boundary terms' dummy derivatives hold
+        # roots of their own
+        if ctx.depth:
+            roots.append(e)
+        return real(e, env, ctx, n, memo)
+
+    monkeypatch.setattr(engine, "_ev_rootof", spy)
+    e, on, off = _invariant_case(monkeypatch, scn_inv, text, env, iset)
+    assert np.isfinite(on[0]).all() and not on[1] and not off[1]
+    assert _invariant_texts(e) == {"t + 1", "a*t"}
+    own = [r for r in X.walk(e) if isinstance(r, X.RootOf)]
+    assert len(own) == 2 and roots
+    assert all(any(r is o for o in own) for r in roots)

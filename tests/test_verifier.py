@@ -100,7 +100,7 @@ def test_scenario_residuals_resamples_bad_points():
     # t = -80 drives this family's inner exponential out of range, which
     # poisons that column; the resample loop must swap the point out
     scn.points[2] = (-80.0, 0.5)
-    rel, data, iset, resampled = scenario_residuals(fam, scn, rng)
+    rel, data, iset, resampled, _ = scenario_residuals(fam, scn, rng)
     assert np.isfinite(rel).all()
     assert resampled >= 1
     # the sabotaged row was replaced inside the box
@@ -111,7 +111,7 @@ def test_residuals_tiny_for_valid_family():
     fam = get_family("3.4")
     rng = np.random.default_rng(11)
     scn = draw_scenario(fam, rng, 8)
-    rel, data, iset, _ = scenario_residuals(fam, scn, rng)
+    rel, data, iset, _, _ = scenario_residuals(fam, scn, rng)
     assert float(np.max(rel)) < 1e-10
 
 
@@ -119,7 +119,7 @@ def test_crosscheck_catches_wrong_jet():
     fam = get_family("3.4")
     rng = np.random.default_rng(5)
     scn = draw_scenario(fam, rng, 4)
-    rel, data, iset, _ = scenario_residuals(fam, scn, rng)
+    rel, data, iset, _, _ = scenario_residuals(fam, scn, rng)
     dev = crosscheck_derivatives(fam, scn, data, iset, np.arange(2))
     assert dev < 1e-5
     # corrupt one derivative row: the check must notice
@@ -394,6 +394,9 @@ def test_no_evaluated_scenario_reports_no_numbers(monkeypatch, how):
     assert resampled == ([24, 24] if how == "eval_incomplete"
                          else [None, None])
     assert d["resampled_points"] == (48 if how == "eval_incomplete" else 0)
+    # every point evaluates but the patched residual: no cause to name
+    assert [row.get("causes") for row in d["scenarios"]] == (
+        [[], []] if how == "eval_incomplete" else [None, None])
     assert_verdict_recomputes(r)
 
 
@@ -508,9 +511,24 @@ def test_unbracketable_root_is_indeterminate_with_a_cause():
     assert r.verdict == "INDETERMINATE"
     assert [row["status"] for row in r.scenarios] == ["eval_incomplete"]
     assert r.resampled_points == r.scenarios[0]["resampled_points"] == 48
-    assert r.notes == ["scenario 0: 6 point(s) unevaluable after resampling"]
+    assert r.notes == ["scenario 0: 6 point(s) unevaluable after resampling"
+                       " (causes: root)"]
+    assert r.scenarios[0]["causes"] == ["root"]
     assert r.branch_probe == {"branch": "negated_seed", "status": "no_root"}
     assert_verdict_recomputes(r)
+
+
+def test_unevaluable_pde_term_names_its_cause():
+    # the solution evaluates at every point, a PDE term at none: the cause
+    # the row and the note name comes from the PDE terms' evaluation
+    fam = _one_record_family("w_t - w_x + ln(-1 - x^2) - ln(-1 - x^2)",
+                             "x + t")
+    r = verify_family(fam, n_scenarios=1, n_points=2, seed=1)
+    assert r.verdict == "INDETERMINATE"
+    assert r.scenarios[0]["status"] == "eval_incomplete"
+    assert r.scenarios[0]["causes"] == ["domain"]
+    assert r.notes == ["scenario 0: 2 point(s) unevaluable after resampling"
+                       " (causes: domain)"]
 
 
 def test_probed_runs_pin_no_new_engine_nodes():
