@@ -7,7 +7,7 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Six things bound the work and the working set of that loop, and all of
+Seven things bound the work and the working set of that loop, and all of
 them leave every output bit as it was (the fifth with one exception, which
 it states):
 
@@ -17,9 +17,10 @@ it states):
   equal subtrees become one object, which the id-keyed memo evaluates once.
   A node's value depends only on the node, the environment and the batch,
   and there is one memo per environment: the top-level call, each
-  integrand callback and each root-body evaluation make their own.  This
-  is the language's only sharing: the parser expands `let`, and the copies
-  of its bound value are one object here.  RootOf nodes are never merged:
+  integrand callback, each root-body evaluation and each endpoint scope
+  (the seventh bullet) has its own.  This is the language's only sharing:
+  the parser expands `let`, and the copies of its bound value are one
+  object here.  RootOf nodes are never merged:
   each keeps its own root-seed cache entry.
 * A constant is one column wide.  Every constant and parameter is a
   (K, 1) jet in every context, and a node is as wide as its widest
@@ -72,6 +73,21 @@ it states):
   poisoned invariant counts its columns once per call, not once per
   node, and it is also counted on the columns whose integral has zero
   length, where the driver evaluates no node.
+* An integral's upper-limit terms share one endpoint scope per dummy and
+  upper-limit node.  At K > 1 a moving upper limit adds boundary terms:
+  the integrand and its dummy derivatives at the limit.  _ev_integral
+  evaluates every order of them in one scope, an environment (the
+  enclosing one with the dummy bound to the limit's values) and a memo,
+  kept in the enclosing memo under (dummy, id(upper)), a key no node id
+  can take.  Every sibling integral evaluated in that memo with the same
+  dummy and limit uses the same scope, so a nested integral or a shared
+  subtree at the limit is evaluated once for all orders and siblings.
+  Before its first order, each integral seeds the scope's memo with its
+  column invariants at K, the values it has just computed in the
+  enclosing scope.  A node's value depends only on the node and the
+  bindings of its free names, which are the same in every order and
+  sibling; a poisoned node counts its columns once per scope, not once
+  per order.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
@@ -465,9 +481,9 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     bound = {nm: env[nm].value_rows() if lift else env[nm] for nm in names}
     # the column invariants, evaluated once here and spread to the nodes
     # like a bound name
-    invariants = [(id(t), _ev(t, env, ctx, n, memo)) for t in _invariants(e)]
-    if lift:
-        invariants = [(k, jb.value_rows()) for k, jb in invariants]
+    invariants_k = [(id(t), _ev(t, env, ctx, n, memo)) for t in _invariants(e)]
+    invariants = ([(k, jb.value_rows()) for k, jb in invariants_k] if lift
+                  else invariants_k)
     qset = subctx.iset
     leaf = _is_leaf(e.integrand)
 
@@ -506,14 +522,20 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
             up_jb.data[0] >= base, 0.0, -0.0))[:, None]
         data = total.T
     out = JetBatch(iset, data)
-    # the base point is a constant: only the upper limit adds boundary terms
+    # the base point is a constant: only the upper limit adds boundary terms,
+    # every order evaluated in the endpoint scope of (dummy, upper limit)
     if iset.K > 1 and up_jb.data[1:].any():
-        ejets = []
-        for k in range(iset.max_endpoint_order + 1):
-            gk = _dummy_derivative(e, k)
-            eenv = {nm: env[nm] for nm in env if nm in gk._free}
-            eenv[e.dummy] = JetBatch.constants(iset, up_jb.data[0])
-            ejets.append(_ev(gk, eenv, ctx, n, {}).data)
+        key = (e.dummy, id(e.upper))
+        scope = memo.get(key)
+        if scope is None:
+            senv = dict(env)
+            senv[e.dummy] = JetBatch.constants(iset, up_jb.data[0])
+            scope = memo[key] = (senv, {})
+        senv, smemo = scope
+        for k, jb in invariants_k:
+            smemo.setdefault(k, jb)
+        ejets = [_ev(_dummy_derivative(e, k), senv, ctx, n, smemo).data
+                 for k in range(iset.max_endpoint_order + 1)]
         iset.boundary_accumulate(out.data, ejets, up_jb.data)
     return out
 

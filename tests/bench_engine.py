@@ -209,7 +209,8 @@ def test_solution_jets_52(benchmark):
 def test_solution_jets_43(benchmark):
     # 4.3's solution at its own K=4 index set on 20 points, in a fresh
     # context per call: its nests below depth 1 bind only outer dummies,
-    # whose derivative rows are zero, so they are integrated at K=1
+    # whose derivative rows are zero, so they are integrated at K=1; its
+    # two top-level integrals over xi up to x share one endpoint scope
     fam = get_family("4.3")
     scn = draw_scenario(fam, _scenario_rng(1, "4.3", 0), 20)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))

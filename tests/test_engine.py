@@ -486,9 +486,9 @@ def test_width1_constants_bit_identical_on_let(k):
 # the helper evaluates twice: per pass, 15 nodes of each of the 5 columns in
 # the integrand for xi/a, and the 5 columns once for 1/a, a column
 # invariant of the integral; at K=4 the upper-limit boundary terms add 5
-# columns to xi/a (the integrand) and 10 to 1/a (the integrand and its
-# dummy derivative)
-@pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 10), (1, 160, 30)],
+# columns to xi/a (the integrand at the limit) and none to 1/a (the dummy
+# derivative), whose value the endpoint scope is seeded with
+@pytest.mark.parametrize("k, xi_a, one_a", [(0, 150, 10), (1, 160, 10)],
                          ids=["K1", "K4"])
 def test_width1_constants_keep_causes_of_division_below_guard(scn_tx, k, xi_a,
                                                               one_a):
@@ -535,10 +535,10 @@ def test_width1_base_under_variable_exponent(scn_tx, monkeypatch, k):
 @pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
 def test_parameter_only_subtrees_are_one_column_wide(scn_tx, monkeypatch, k):
     # the subtree sqrt(a*b + 1) at the top level, as a column invariant of
-    # the integral (evaluated once in the enclosing scope), at K=4 in the
-    # upper limit's boundary terms, and in a root body (its bisection and,
-    # at K=4, its Newton steps); eval_batch still returns every column, of
-    # a constant tree too
+    # the integral (evaluated once in the enclosing scope, whose value the
+    # upper limit's endpoint scope is seeded with at K=4), and in a root
+    # body (its bisection and, at K=4, its Newton steps); eval_batch still
+    # returns every column, of a constant tree too
     scn_tx.parameters.update(a=0.7, b=0.4)
     penv = Env(variables=("t", "x"), parameters=("a", "b"))
     sub = parse("sqrt(a*b + 1)", penv)
@@ -555,8 +555,7 @@ def test_parameter_only_subtrees_are_one_column_wide(scn_tx, monkeypatch, k):
     assert not ctx.causes
     assert {w for *_, w, _ in widths} == {1}
     assert {names for node, names, *_ in widths if node == sub} \
-        == {frozenset({"t", "x"}), frozenset({"t", "Z"})} \
-        | ({frozenset({"xi"})} if k else set())
+        == {frozenset({"t", "x"}), frozenset({"t", "Z"})}
     assert any(m > 1 for node, *_, m in widths if node == sub)
     c = eval_batch(parse("sqrt(a*b + 1) + 2", penv), env, ctx, n)
     assert c.data.shape == (iset.K, n)
@@ -1242,3 +1241,189 @@ def test_real_powers_and_roots_stay_in_place(scn_inv, monkeypatch, k):
     own = [r for r in X.walk(e) if isinstance(r, X.RootOf)]
     assert len(own) == 2 and roots
     assert all(any(r is o for o in own) for r in roots)
+
+
+# ---------------------------------------------------------------------------
+# An integral's upper-limit terms are evaluated in one endpoint scope per
+# (dummy, upper-limit node) of the enclosing memo, shared by every
+# derivative order and every sibling integral; every output bit and cause
+# kind stays.  The reference is the per-order path: each dummy derivative
+# evaluated at the limit with a fresh eval_batch.
+
+
+def _per_order_boundary(m):
+    """Patch engine._ev_integral to the per-order path, nested integrals
+    included.  The integral's interior comes from the engine with the upper
+    limit replaced by a name bound to its values (zero derivative rows, so
+    no boundary terms); each dummy derivative is then evaluated at the
+    limit with a fresh eval_batch and added with boundary_accumulate.
+    Returns the list of integrals that took the boundary terms."""
+    real = engine._ev_integral
+    stand_ins = {}
+    took = []
+
+    def ref(e, env, ctx, n, memo):
+        iset = ctx.iset
+        up = engine._widen(engine._ev(e.upper, env, ctx, n, memo), n)
+        if iset.K == 1 or not up.data[1:].any():
+            return real(e, env, ctx, n, memo)
+        ent = stand_ins.get(id(e))
+        if ent is None or ent[0] is not e:
+            lim = X.Var("upper_limit")
+            ent = stand_ins[id(e)] = (e, lim, X.Integral(e.dummy, e.base, lim,
+                                                         e.integrand))
+        _, lim, inner = ent
+        env2 = dict(env)
+        env2[lim.name] = JetBatch.constants(iset, up.data[0])
+        out = real(inner, env2, ctx, n, memo)
+        ejets = []
+        for k in range(iset.max_endpoint_order + 1):
+            gk = engine._dummy_derivative(e, k)
+            eenv = {nm: env[nm] for nm in env if nm in gk.free}
+            eenv[e.dummy] = JetBatch.constants(iset, up.data[0])
+            ejets.append(eval_batch(gk, eenv, ctx, n).data)
+        iset.boundary_accumulate(out.data, ejets, up.data)
+        took.append(e)
+        return out
+
+    m.setattr(engine, "_ev_integral", ref)
+    return took
+
+
+def _scope_keys(m):
+    """Spy on engine._ev_integral.  The returned function gives, for each
+    memo that integrals at a nesting depth were evaluated in and that holds
+    endpoint scopes, its scopes as a sorted list of (dummy, upper limit as
+    text); the lists come sorted too."""
+    memos = {}
+    real = engine._ev_integral
+
+    def spy(e, env, ctx, n, memo):
+        out = real(e, env, ctx, n, memo)
+        texts = memos.setdefault(id(memo), (ctx.depth, memo, {}))[2]
+        texts[id(e.upper)] = X.to_text(e.upper)
+        return out
+
+    m.setattr(engine, "_ev_integral", spy)
+
+    def keys(depth):
+        found = [sorted((k[0], texts[k[1]]) for k in memo
+                        if isinstance(k, tuple))
+                 for d, memo, texts in memos.values() if d == depth]
+        return sorted(ks for ks in found if ks)
+
+    return keys
+
+
+def _scope_case(monkeypatch, scn, text, env, iset):
+    """text evaluated on env with endpoint scopes and on the per-order
+    path, each as (jet, cause tally); bits and cause kinds must agree.
+    Returns both, the spy's scope keys and the integrals that took
+    boundary terms on the per-order path."""
+    e = engine._interned(parse(text, _INV_ENV))
+
+    def run():
+        ctx = EvalContext(iset, scn)
+        with np.errstate(all="ignore"):
+            return eval_batch(e, env, ctx, env["x"].n).data, ctx.causes
+
+    with monkeypatch.context() as m:
+        keys = _scope_keys(m)
+        got = run()
+    with monkeypatch.context() as m:
+        took = _per_order_boundary(m)
+        want = run()
+    assert _same_bits(got[0], want[0])
+    assert {k for k, _ in got[1]} == {k for k, _ in want[1]}
+    return got, want, keys, took
+
+
+def _k6():
+    return IndexSet(("t", "x"), set(get_family("6.5").deriv_orders.values()))
+
+
+@pytest.fixture
+def scn_scope(scn_inv):
+    scn_inv.base_points.update(p1=0.3, p2=-0.2)
+    return scn_inv
+
+
+@pytest.mark.parametrize("text, top", [
+    # two siblings with the same dummy and limit share one scope
+    ("int(xi, base(p0), x, xi*t + F(xi))"
+     " + int(xi, base(p1), x, xi^2*int(eta, base(p2), xi, eta*t))",
+     [[("xi", "x")]]),
+    # a compound limit
+    ("int(xi, base(p0), x*t, xi*t + F(xi))"
+     " + int(xi, base(p1), x*t, exp(xi)*int(eta, base(p2), xi, eta*t + a))",
+     [[("xi", "x*t")]]),
+    # the same dummy under different limits: one scope each
+    ("int(xi, base(p0), x, xi*t + F(xi)) + int(xi, base(p1), t, xi^2*x)",
+     [[("xi", "t"), ("xi", "x")]]),
+    # a lifted integrand (no bound name) seeds its invariant at K
+    ("int(xi, base(p0), x, exp(a)*xi^2 + F(xi))"
+     " + int(xi, base(p1), x, xi*t)",
+     [[("xi", "x")]]),
+    # a dummy that shadows a variable
+    ("int(x, base(p0), t, x*t + F(x)) + x*int(x, base(p1), t, x^2 + a*t)",
+     [[("x", "t")]]),
+    # a nested dummy that shadows the outer one, with a limit of its own:
+    # at the outer limit the inner integral gets a scope in the outer
+    # scope's memo, and one in every callback's memo
+    ("int(xi, base(p0), x, xi*int(xi, base(p1), t, xi*t + F(xi)) + F(t)*xi)",
+     [[("xi", "t")], [("xi", "x")]]),
+], ids=["siblings", "compound", "two-limits", "lifted", "shadow-var",
+        "shadow-dummy"])
+@pytest.mark.parametrize("k6", [False, True], ids=["K4", "K6"])
+def test_endpoint_scope_bits(scn_scope, monkeypatch, text, top, k6):
+    iset = _k6() if k6 else _isets(("t", "x"))[1]
+    assert iset.max_endpoint_order == (2 if k6 else 1)
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(0.3, 0.9, 5))
+    got, _, keys, took = _scope_case(monkeypatch, scn_scope, text, env, iset)
+    assert np.isfinite(got[0]).all() and not got[1]
+    assert keys(0) == top
+    assert len(took) >= sum(map(len, top))
+    if len(top) > 1:
+        assert keys(1) and all(ks == [("xi", "t")] for ks in keys(1))
+
+
+@pytest.mark.parametrize("k6", [False, True], ids=["K4", "K6"])
+def test_endpoint_scope_keeps_causes(scn_scope, monkeypatch, k6):
+    # a is below the division guard and t < 0.7 in two columns: the shared
+    # scope is seeded with both integrals' poisoned invariants, 1/a and
+    # sqrt(t - 0.7), and counts them once per call, not once per order
+    scn_scope.parameters["a"] = 0.25 * engine.DEN_GUARD
+    iset = _k6() if k6 else _isets(("t", "x"))[1]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 4), np.linspace(0.3, 0.9, 4))
+    got, want, keys, took = _scope_case(
+        monkeypatch, scn_scope, "int(xi, base(p0), x, xi/a + 1/a + t)"
+        " + int(xi, base(p1), x, xi*sqrt(t - 0.7))", env, iset)
+    assert np.isnan(got[0]).all()
+    texts = {(kind, X.to_text(node)): c for (kind, node), c in got[1].items()}
+    assert set(texts) == {("domain", "xi/a"), ("domain", "1/a"),
+                          ("domain", "sqrt(t - (7/10))")}
+    assert texts["domain", "1/a"] == 4
+    assert texts["domain", "sqrt(t - (7/10))"] == 2
+    assert all(c <= want[1][key] for key, c in got[1].items())
+    assert keys(0) == [[("xi", "x")]] and len(took) == 2
+
+
+@pytest.mark.parametrize("fid", [f for f in family_ids()
+                                 if get_family(f).sol_depth])
+def test_endpoint_scope_bits_on_catalog(monkeypatch, fid):
+    fam, scn = _draw(fid, npts=3)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    with monkeypatch.context() as m:
+        keys = _scope_keys(m)
+        got = _solution_jets(fam, scn, iset)
+    with monkeypatch.context() as m:
+        took = _per_order_boundary(m)
+        want = _solution_jets(fam, scn, iset)
+    assert _same_bits(got[0], want[0])
+    assert np.isfinite(got[0]).all()
+    assert {k for k, _ in got[1]} == {k for k, _ in want[1]}
+    assert took and keys(0)
+    if fid == "4.3":
+        # the two top-level int(xi, ..., x, ...) share one scope, and at
+        # xi = x the three int(tau, ..., t, ...) in its memo share one more
+        assert keys(0) == [[("tau", "t")], [("xi", "x")]]
