@@ -306,9 +306,10 @@ def map_children(e: Expr, fn, fields=None) -> Expr:
 
 def node_key(e: Expr, fn) -> tuple:
     """e's class and fields as a hashable key, with fn(c) standing for each
-    child c (as in map_children) and (type, value) for each literal field:
-    two nodes get equal keys when they differ at most in children that fn
-    maps to equal keys."""
+    child c (as in map_children) and (type, value) for each literal field,
+    a float (a root's seed) by its hex digits, which keep 0.0 and -0.0
+    apart: two nodes get equal keys when they differ at most in children
+    that fn maps to equal keys."""
     key: list = [e.__class__]
     for f in e._fields:
         v = getattr(e, f)
@@ -316,6 +317,8 @@ def node_key(e: Expr, fn) -> tuple:
             key.append(fn(v))
         elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
             key.append(tuple(map(fn, v)))
+        elif isinstance(v, float):
+            key.append((float, v.hex()))
         else:
             key.append((type(v), v))
     return tuple(key)

@@ -20,8 +20,8 @@ it states):
   integrand callback, each root-body evaluation and each endpoint scope
   (the seventh bullet) has its own.  This is the language's only sharing:
   the parser expands `let`, and the copies of its bound value are one
-  object here.  RootOf nodes are never merged:
-  each keeps its own root-seed cache entry.
+  object here.  A RootOf is merged like any other node: every solve starts
+  from the root's declared seed, so equal roots take equal values.
 * A constant is one column wide.  Every constant and parameter is a
   (K, 1) jet in every context, and a node is as wide as its widest
   operand, so a subtree of scenario constants is evaluated at
@@ -41,7 +41,7 @@ it states):
   evaluated whole (quadrature says why).
 * A root's column constants are evaluated once per column set.  The
   subtrees of a root body and of its z-derivative that do not depend on
-  the root's dummy and hold no root take the same value in every body
+  the root's dummy, inner roots included, take the same value in every body
   evaluation on the same columns, and a solve passes the same columns
   to its bisection steps, Newton polish and final check (to its bracket
   probes too, while every column is still searching), and to all its
@@ -136,9 +136,9 @@ _UNARY_JETS = {X.Exp: (jb_exp, None), X.Ln: (jb_ln, POS_GUARD),
 
 class EvalContext:
     """Evaluation state: index set, scenario bindings, nesting depth, and
-    the state that every sub-context of one evaluation shares: the cause
-    tally and the root-seed cache.  causes counts poisoned columns per
-    (kind, node), summed over every call that recorded them."""
+    the cause tally that every sub-context of one evaluation shares.
+    causes counts poisoned columns per (kind, node), summed over every call
+    that recorded them."""
 
     depth = 0
 
@@ -146,11 +146,10 @@ class EvalContext:
         self.iset = iset
         self.scenario = scenario
         self.causes: Counter = Counter()
-        self.root_cache: Dict[int, tuple] = {}
 
     def _sub(self, iset: IndexSet, depth: int) -> "EvalContext":
-        # a shallow copy, so the sub-context shares the tally and the
-        # root-seed cache; copy.copy does the same at four times the cost
+        # a shallow copy, so the sub-context shares the tally; copy.copy
+        # does the same at four times the cost
         sub = object.__new__(EvalContext)
         vars(sub).update(vars(self))
         sub.iset, sub.depth = iset, depth
@@ -188,21 +187,15 @@ class _NodeCache:
 
 
 # canonical node per structure, keyed by its class, its literal fields and
-# the identities of its canonical children (X.node_key); the ids keep equal
-# children that are distinct objects (roots) apart.  Each canonical node
-# pins its children, and so the ids in its key.
+# the identities of its canonical children (X.node_key).  Each canonical
+# node pins its children, and so the ids in its key.
 _canon: Dict[tuple, X.Expr] = {}
 
 
 def _intern(e: X.Expr) -> X.Expr:
     """e rebuilt bottom-up so that structurally equal subtrees are one
     object, which the id-keyed memo of _ev then evaluates once per
-    environment.
-    A RootOf is returned as it is, body and all: root_cache is keyed by
-    its identity, and two equal roots in different callback scopes must
-    keep their own warm-start seeds."""
-    if isinstance(e, X.RootOf):
-        return e
+    environment."""
     key = X.node_key(e, lambda c: id(_interned(c)))
     got = _canon.get(key)
     if got is None:
@@ -221,25 +214,9 @@ _root_derivative = _NodeCache(
 
 def _column_constant_ids(e: X.RootOf) -> frozenset:
     """ids of the column constants of root e: the subtrees of its body and
-    of its z-derivative that have no e.dummy among their free names and
-    hold no RootOf (whose seeds move from call to call)."""
-    ids = set()
-
-    def visit(t: X.Expr) -> bool:
-        # whether t holds a RootOf; a RootOf's own subtrees are evaluated
-        # in its own memos
-        if isinstance(t, X.RootOf):
-            return True
-        held = False
-        for c in t.children():
-            held |= visit(c)
-        if not held and e.dummy not in t._free:
-            ids.add(id(t))
-        return held
-
-    visit(_interned(e.body))
-    visit(_root_derivative(e))
-    return frozenset(ids)
+    of its z-derivative that have no e.dummy among their free names."""
+    return frozenset(id(t) for tree in (_interned(e.body), _root_derivative(e))
+                     for t in X.walk(tree) if e.dummy not in t._free)
 
 
 _column_constants = _NodeCache(_column_constant_ids)
@@ -582,18 +559,13 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
             return _widen(solve.ev(tree, en, vctx, cols), zs.size).data[0]
         return f
 
-    seeds = _root_seeds(e, ctx, n)
     roots, status = rootfind.bracket_bisect_newton(
-        values_of(body), values_of(body_z), seeds, CFG)
+        values_of(body), values_of(body_z), np.full(n, e.seed), CFG)
     fail = status != rootfind.OK
     if fail.any():
         ctx.record("root", fail, e)
         roots = roots.copy()
         roots[fail] = np.nan
-    ok = ~fail
-    if ok.any():
-        cache_roots = roots[ok]
-        ctx.root_cache[id(e)] = (e, float(np.median(cache_roots)), roots.copy())
     if iset.K == 1:
         return JetBatch.constants(iset, roots)
 
@@ -613,13 +585,3 @@ def _ev_rootof(e: X.RootOf, env, ctx: EvalContext, n: int, memo: dict) -> JetBat
         q, _ = jb_div(F, Fz, DEN_GUARD)
         z = jb_sub(z, q)
     return z
-
-
-def _root_seeds(e: X.RootOf, ctx: EvalContext, n: int) -> np.ndarray:
-    ent = ctx.root_cache.get(id(e))
-    if ent is not None and ent[0] is e:
-        _, med, prev = ent
-        if prev.size == n and np.isfinite(prev).all():
-            return prev
-        return np.full(n, med)
-    return np.full(n, e.seed)

@@ -15,12 +15,12 @@ at panel length, in place where the operations and operands stay the
 same.
 
 Only a leaf integrand's round is sliced: one whose value at a node
-depends on that node alone.  The row sums of an inner quadrature and the
-seeds of an implicit root depend on how many columns share a call, so
-slicing those would move output bits.  A leaf round goes in slices of
-_LEAF_SLICE nodes rounded down to whole 4-panel blocks (2184 panels), the
-last slice also taking the remainder, so a round of less than two slices
-goes whole.  The two reductions I15 and I7 are matrix products whose
+depends on that node alone.  The row sums of an inner quadrature depend
+on how many columns share a call, and so does an implicit root whose body
+holds one, so slicing those would move output bits.  A leaf round goes in
+slices of _LEAF_SLICE nodes rounded down to whole 4-panel blocks (2184
+panels), the last slice also taking the remainder, so a round of less
+than two slices goes whole.  The two reductions I15 and I7 are matrix products whose
 last bits depend on how they are computed, and I7 decides convergence;
 cut so, each panel gets the bits of one whole-round product.  Measured
 with numpy 2.4 and OpenBLAS 0.3.31 (Haswell kernels), slices of 4, 8,

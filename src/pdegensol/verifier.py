@@ -373,9 +373,8 @@ def _eval_rel(fam: PdeFamily, scn: Scenario, pts: np.ndarray,
 # Nested quadrature fans out per column (~15^depth inner evaluations), so
 # the residual pass and the cross-check put the points of a solution 4 or
 # more integrals deep into the engine DEEP_BATCH at a time, and those of a
-# shallower one all at once.  The split is part of every output bit: root
-# seeds, the quadrature's panel cap and its sums all depend on which
-# columns share a call
+# shallower one all at once.  The split is part of every output bit: the
+# quadrature's panel cap and its sums depend on which columns share a call
 DEEP_BATCH = 5
 
 

@@ -421,9 +421,8 @@ def _constant_widths(monkeypatch):
 
 
 def _width1_vs_full_width(e, env, scn, iset, n):
-    """e evaluated twice in one context (the second pass warm-starts its
-    roots from the first), and e with every Param replaced by a Var bound
-    to a full-width constant jet, evaluated twice likewise."""
+    """e evaluated twice in one context, and e with every Param replaced by
+    a Var bound to a full-width constant jet, evaluated twice likewise."""
     names = sorted({p.name for p in X.walk(e) if isinstance(p, X.Param)})
     e2 = X.substitute(e, {nm: X.Var("par_" + nm) for nm in names})
     env2 = dict(env)
@@ -758,25 +757,61 @@ def test_interning_bit_identical(monkeypatch, fid):
         assert set(interned[1]) == set(plain[1])
 
 
-def test_interning_shares_subtrees_and_keeps_roots():
+def test_interning_shares_subtrees_and_roots():
     env = Env(variables=("t", "x"))
     e = parse("sin(x*t) + sin(x*t)*exp(sin(x*t))"
-              " + rootof(Z, Z^2 - x, 1) + rootof(Z, Z^2 - x, 1)", env)
+              " + rootof(Z, Z^2 - x, 1) + rootof(Z, Z^2 - x, 1)"
+              " + rootof(Z, Z^2 - x, 2)", env)
     c = engine._interned(e)
     assert c == e and engine._interned(c) is c
     sins = [n for n in X.walk(c) if isinstance(n, X.Sin)]
     assert len(sins) == 3 and all(s is sins[0] for s in sins)
-    # every RootOf is the original object, equal roots stay apart
-    roots = [n for n in X.walk(e) if isinstance(n, X.RootOf)]
-    kept = [n for n in X.walk(c) if isinstance(n, X.RootOf)]
-    assert len(kept) == 2 and kept[0] is not kept[1]
-    assert all(a is b for a, b in zip(kept, roots))
-    # a catalog solution: roots kept by identity, repeats shared
+    # equal roots are one object; a root with another seed stays apart
+    roots = [n for n in X.walk(c) if isinstance(n, X.RootOf)]
+    assert len(roots) == 3 and roots[0] is roots[1]
+    assert roots[2] is not roots[0] and roots[2].body is roots[0].body
+    # a catalog solution with two equal roots holds one RootOf object
     sol = get_family("3.8").solution
     c = engine._interned(sol)
-    assert [id(n) for n in X.walk(c) if isinstance(n, X.RootOf)] == \
-        [id(n) for n in X.walk(sol) if isinstance(n, X.RootOf)]
+    assert len([n for n in X.walk(sol) if isinstance(n, X.RootOf)]) == 2
+    assert len({id(n) for n in X.walk(c) if isinstance(n, X.RootOf)}) == 1
     assert len({id(n) for n in X.walk(c)}) < len({id(n) for n in X.walk(sol)})
+
+
+def test_interning_keeps_signed_zero_seeds_apart(scn_x):
+    # 0.0 == -0.0, but a root whose body is zero at its seed solves to the
+    # seed itself, so each sign keeps its own node
+    env = Env(variables=("x",))
+    iset = IndexSet(("x",), [])
+    for text, want in (("rootof(Z, Z*(1 + x^2), 0)", 0.0),
+                       ("rootof(Z, Z*(1 + x^2), -0)", -0.0)):
+        got = eval_batch(parse(text, env),
+                         {"x": JetBatch.constants(iset, np.array([0.5]))},
+                         EvalContext(iset, scn_x), 1)
+        assert _same_bits(got.data, np.array([[want]]))
+
+
+@pytest.mark.parametrize("fid,seed", [("3.7", 2), ("3.8", 1)])
+def test_root_bits_do_not_depend_on_call_order(fid, seed):
+    # every solve starts from the root's declared seed, so 3 columns take
+    # the same bits after a 5-column call in the same context as in a
+    # fresh one
+    fam = get_family(fid)
+    scn = draw_scenario(fam, _scenario_rng(seed, fid, 1), 5)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+
+    def jets(ctx, pts):
+        env = {v: JetBatch.variable(iset, v, pts[:, i].copy())
+               for i, v in enumerate(fam.variables)}
+        with np.errstate(all="ignore"):
+            return eval_batch(fam.solution, env, ctx, len(pts)).data
+
+    ctx = EvalContext(iset, scn)
+    jets(ctx, scn.points)
+    after = jets(ctx, scn.points[:3])
+    fresh = jets(EvalContext(iset, scn), scn.points[:3])
+    assert iset.K > 1 and _same_bits(after, fresh)
+    assert np.isfinite(fresh).all()
 
 
 def test_interning_a_known_structure_builds_no_node(monkeypatch):
@@ -856,6 +891,46 @@ def test_root_column_constants_keep_causes(scn_tx, monkeypatch, k):
     assert {"domain", "overflow", "root"} <= kinds
     assert np.isnan(carried[0][:, 0]).all()
     assert np.isfinite(carried[0][0, 1:]).all()
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["K1", "K4"])
+def test_inner_root_is_a_column_constant(scn_tx, monkeypatch, k):
+    # the inner root does not depend on Z, so it is solved once per column
+    # set of the outer solve; column 3 (Z^2 = cbrt(0.5) - 3) has no root
+    e = engine._interned(parse("rootof(Z, Z^2 - rootof(W, W^3 - x, 1) - t, 1)",
+                               Env(variables=("t", "x"))))
+    inner = next(r for r in X.walk(e) if isinstance(r, X.RootOf)
+                 and r.dummy == "W")
+    assert id(inner) in engine._column_constants(e)
+    iset = _isets(("t", "x"))[k]
+    t = np.array([0.2, 0.7, 1.0, -3.0])
+    x = np.array([0.3, 1.2, 0.8, 0.5])
+    solve = engine.rootfind.bracket_bisect_newton
+
+    def run():
+        solves = []
+        env = {"t": JetBatch.variable(iset, "t", t),
+               "x": JetBatch.variable(iset, "x", x)}
+        ctx = EvalContext(iset, scn_tx)
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(engine.rootfind, "bracket_bisect_newton",
+                      lambda *args: solves.append(1) or solve(*args))
+            jb = eval_batch(e, env, ctx, t.size)
+        return jb.data, ctx.causes, len(solves)
+
+    carried = run()
+    with monkeypatch.context() as m:
+        _fresh_memo_per_call(m)
+        fresh = run()
+    assert _same_bits(carried[0], fresh[0])
+    assert list(carried[1].items()) == list(fresh[1].items())
+    assert [kind for (kind, _node), c in carried[1].items() if c] == ["root"]
+    assert np.isnan(carried[0][:, 3]).all()
+    want = np.sqrt(np.cbrt(x[:3]) + t[:3])
+    assert np.allclose(carried[0][0, :3], want, rtol=1e-14, atol=0)
+    # the outer solve plus one inner solve per column set it passes, and
+    # one inner solve per outer body evaluation when nothing is carried
+    assert carried[2] < 10 and fresh[2] > 10 * carried[2]
 
 
 def test_root_column_constants_evaluated_once_per_column_set(monkeypatch):
