@@ -7,9 +7,9 @@ so the whole nest evaluates breadth-first; implicit roots solve all N
 columns simultaneously by bracketed bisection, then take jet-Newton steps
 to get derivative rows.
 
-Seven things bound the work and the working set of that loop, and all of
-them leave every output bit as it was (the fifth with one exception, which
-it states):
+Eight things bound the work and the working set of that loop, and all of
+them leave every output bit as it was (the fifth and seventh with the
+exceptions they state):
 
 * Equal subtrees are evaluated once.  Every tree the engine evaluates (the
   argument of eval_batch, a root body, the symbolic derivatives of root
@@ -18,10 +18,12 @@ it states):
   A node's value depends only on the node, the environment and the batch,
   and there is one memo per environment: the top-level call, each
   integrand callback, each root-body evaluation and each endpoint scope
-  (the seventh bullet) has its own.  This is the language's only sharing:
-  the parser expands `let`, and the copies of its bound value are one
-  object here.  A RootOf is merged like any other node: every solve starts
-  from the root's declared seed, so equal roots take equal values.
+  (the seventh bullet) has its own, and integrals share their driver
+  results through an interior table (the eighth).  This is the
+  language's only sharing: the parser expands `let`, and the copies of
+  its bound value are one object here.  A RootOf is merged like any
+  other node: every solve starts from the root's declared seed, so equal
+  roots take equal values.
 * A constant is one column wide.  Every constant and parameter is a
   (K, 1) jet in every context, and a node is as wide as its widest
   operand, so a subtree of scenario constants is evaluated at
@@ -76,18 +78,35 @@ it states):
 * An integral's upper-limit terms share one endpoint scope per dummy and
   upper-limit node.  At K > 1 a moving upper limit adds boundary terms:
   the integrand and its dummy derivatives at the limit.  _ev_integral
-  evaluates every order of them in one scope, an environment (the
-  enclosing one with the dummy bound to the limit's values) and a memo,
-  kept in the enclosing memo under (dummy, id(upper)), a key no node id
-  can take.  Every sibling integral evaluated in that memo with the same
-  dummy and limit uses the same scope, so a nested integral or a shared
-  subtree at the limit is evaluated once for all orders and siblings.
-  Before its first order, each integral seeds the scope's memo with its
-  column invariants at K, the values it has just computed in the
-  enclosing scope.  A node's value depends only on the node and the
-  bindings of its free names, which are the same in every order and
-  sibling; a poisoned node counts its columns once per scope, not once
-  per order.
+  evaluates them in one scope, an environment (the enclosing one with the
+  dummy bound to the limit's values) and a memo, kept in the enclosing
+  memo under (dummy, id(upper)), a key no node id can take.  Only the
+  live orders are evaluated: those a boundary entry uses whose limit rows
+  are each nonzero in some column (IndexSet.live_boundary; a NaN counts
+  as nonzero), and boundary_accumulate sums the live entries alone.  A
+  dead entry's term is zero wherever its dummy derivative is finite, so
+  skipping it moves no bit but a signed zero, and no longer poisons a
+  column where that derivative is not finite.  Every sibling integral
+  evaluated in that memo with the same dummy and limit uses the same
+  scope, so a nested integral or a shared subtree at the limit is
+  evaluated once for all orders and siblings.  Before its first order,
+  each integral seeds the scope's memo with its column invariants at K,
+  the values it has just computed in the enclosing scope.  A node's value
+  depends only on the node and the bindings of its free names, which are
+  the same in every order and sibling; a poisoned node counts its columns
+  once per scope, not once per order.
+* An integral's interior is driven once per memo and limit values.  The
+  driver's result, before lifting and boundary terms, is kept in an
+  interior table (_interior) in the memo, under _INTERIORS, a key that is
+  neither a tuple nor an int, and every endpoint scope shares the table
+  of the memo it was made in.  An entry is keyed by the integrand with
+  its dummy renamed to "#" (_alpha), the base point, the driver's K and
+  the identity of every bound jet, and matched on equal upper-limit
+  values: an integral at its own limit in a scope (3.3's
+  int(eta, base(p1), xi, ...) at xi = x) takes the interior of the
+  top-level integral with the same inputs.  A call that recorded a cause
+  or overflowed keeps nothing.  Boundary terms are added to a copy, so a
+  shared interior is never written.
 
 Failures do not raise mid-batch: offending columns are poisoned with NaN,
 and the context counts them per (kind, node) in one tally that every
@@ -212,11 +231,13 @@ _root_derivative = _NodeCache(
     lambda e: _interned(X.simplify(X.differentiate(e.body, e.dummy))))
 
 
-def _column_constant_ids(e: X.RootOf) -> frozenset:
-    """ids of the column constants of root e: the subtrees of its body and
-    of its z-derivative that have no e.dummy among their free names."""
-    return frozenset(id(t) for tree in (_interned(e.body), _root_derivative(e))
-                     for t in X.walk(tree) if e.dummy not in t._free)
+def _column_constant_ids(e: X.RootOf) -> dict:
+    """The column constants of root e by id: the subtrees of its body and
+    of its z-derivative that have no e.dummy among their free names.  Each
+    entry pins its tree, so an id stays that tree's while the set lives,
+    whichever derivative cache built it."""
+    return {id(t): t for tree in (_interned(e.body), _root_derivative(e))
+            for t in X.walk(tree) if e.dummy not in t._free}
 
 
 _column_constants = _NodeCache(_column_constant_ids)
@@ -263,6 +284,15 @@ def _invariant_nodes(e: X.Integral) -> tuple:
 
 
 _invariants = _NodeCache(_invariant_nodes)
+
+
+# an integral's integrand with its dummy renamed to a name no parsed tree
+# holds, so integrands that differ only by the dummy's name are one node
+_alpha = _NodeCache(
+    lambda e: _interned(X.substitute(e.integrand, {e.dummy: X.Var("#")})))
+# the key of the interior table in a memo: not a tuple, so no endpoint
+# scope's key, and not an int, so no node id
+_INTERIORS = "interiors"
 
 
 def _dummy_derivative(e, k: int) -> X.Expr:
@@ -486,9 +516,10 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
     def on_noconv(mask):
         ctx.record("quad", mask, e)
 
-    data = adaptive_gk_batched(
-        integrand_eval, base, up_jb.data[0], qset.K, CFG, on_noconv
-    )
+    data = _interior(e, qset, env, names, up_jb.data[0], ctx, memo,
+                     lambda: adaptive_gk_batched(integrand_eval, base,
+                                                 up_jb.data[0], qset.K, CFG,
+                                                 on_noconv))
     if lift:
         # the driver's jet at K, F-ordered: below row 0 its sums of zeros
         # after the sign flip, and NaN in failed columns (its only NaN sums)
@@ -498,23 +529,50 @@ def _ev_integral(e: X.Integral, env, ctx: EvalContext, n: int, memo: dict) -> Je
         total[:, 1:] = np.where(np.isnan(v), np.nan, np.where(
             up_jb.data[0] >= base, 0.0, -0.0))[:, None]
         data = total.T
-    out = JetBatch(iset, data)
     # the base point is a constant: only the upper limit adds boundary terms,
-    # every order evaluated in the endpoint scope of (dummy, upper limit)
+    # each live order evaluated in the endpoint scope of (dummy, upper limit)
     if iset.K > 1 and up_jb.data[1:].any():
         key = (e.dummy, id(e.upper))
         scope = memo.get(key)
         if scope is None:
             senv = dict(env)
             senv[e.dummy] = JetBatch.constants(iset, up_jb.data[0])
-            scope = memo[key] = (senv, {})
+            table = memo.setdefault(_INTERIORS, {})
+            scope = memo[key] = (senv, {_INTERIORS: table})
         senv, smemo = scope
         for k, jb in invariants_k:
             smemo.setdefault(k, jb)
-        ejets = [_ev(_dummy_derivative(e, k), senv, ctx, n, smemo).data
-                 for k in range(iset.max_endpoint_order + 1)]
-        iset.boundary_accumulate(out.data, ejets, up_jb.data)
-    return out
+        ejets = {k: _ev(_dummy_derivative(e, k), senv, ctx, n, smemo).data
+                 for k in iset.endpoint_orders(up_jb.data)}
+        if not lift:
+            # the driver's result may be shared through the interior table
+            data = data.copy(order="K")
+        iset.boundary_accumulate(data, ejets, up_jb.data)
+    return JetBatch(iset, data)
+
+
+def _interior(e: X.Integral, qset: IndexSet, env, names, upper: np.ndarray,
+              ctx: EvalContext, memo: dict, drive) -> np.ndarray:
+    """The driver's result for integral e, before lifting and boundary
+    terms: drive(), or the result kept in memo's interior table for an
+    integral with the same integrand up to its dummy's name, base point,
+    driver K and bound jets (by identity), driven on upper-limit values
+    equal to upper.  Such a driver call takes the same inputs, so reuse
+    moves no bit.  A result is kept only when its call recorded no cause
+    and no overflow, so every cause is recorded as often as without the
+    table.  An entry pins its bound jets, so their ids stay theirs."""
+    bound = sorted(nm for nm in names if nm != e.dummy)
+    jets = [env[nm] for nm in bound]
+    key = (id(_alpha(e)), e.base, qset.K, tuple(zip(bound, map(id, jets))))
+    ents = memo.setdefault(_INTERIORS, {}).setdefault(key, [])
+    for _, limit, data in ents:
+        if np.array_equal(limit, upper):
+            return data
+    tally, overflows = ctx.causes.total(), _OVERFLOWS.n
+    data = drive()
+    if ctx.causes.total() == tally and _OVERFLOWS.n == overflows:
+        ents.append((jets, upper, data))
+    return data
 
 
 class _ColumnMemo:
@@ -526,7 +584,7 @@ class _ColumnMemo:
     nothing, so every cause is recorded, and every overflow check made, as
     often as with a fresh memo per call."""
 
-    def __init__(self, ids: frozenset):
+    def __init__(self, ids: dict):
         self.ids = ids
         self.cols = None
         self.memo: dict = {}

@@ -278,19 +278,36 @@ class IndexSet:
                         entries.append((len(rows) - 1, beta_row, rows))
             table.append(entries)
         self._boundary_table = table
-        self.max_endpoint_order = max(
-            (e[0] for row in table for e in row), default=-1
-        )
+        self._live_tables: Dict[frozenset, list] = {}
+
+    def live_boundary(self, u: np.ndarray) -> list:
+        """The boundary table without its dead entries for the limit jet u:
+        an entry is dead when one of its limit rows is exactly zero in every
+        column of u (a NaN counts as nonzero), so that its term is zero
+        wherever its endpoint jet is finite."""
+        zero = frozenset(r for r in range(1, self.K) if not u[r].any())
+        got = self._live_tables.get(zero)
+        if got is None:
+            got = self._live_tables[zero] = [
+                [ent for ent in row if zero.isdisjoint(ent[2])]
+                for row in self._boundary_table]
+        return got
+
+    def endpoint_orders(self, u: np.ndarray) -> List[int]:
+        """The dummy-derivative orders that a live boundary entry of the
+        limit jet u uses, ascending."""
+        return sorted({ent[0] for row in self.live_boundary(u) for ent in row})
 
     def boundary_accumulate(
-        self, out: np.ndarray, endpoint_jets: List[np.ndarray], u: np.ndarray
+        self, out: np.ndarray, endpoint_jets, u: np.ndarray
     ):
-        """Add the variable-upper-limit terms into out (in place).
-        endpoint_jets[k] is the jet of the k-th dummy-derivative of the
-        integrand at the limit; u is the limit's jet."""
-        for k in range(1, self.K):
+        """Add the variable-upper-limit terms into out (in place), the live
+        entries only (live_boundary).  endpoint_jets[k] is the jet of the
+        k-th dummy-derivative of the integrand at the limit, needed for
+        the orders endpoint_orders gives; u is the limit's jet."""
+        for k, entries in enumerate(self.live_boundary(u)):
             acc = None
-            for order, beta_row, rows in self._boundary_table[k]:
+            for order, beta_row, rows in entries:
                 term = endpoint_jets[order][beta_row]
                 for b in rows:
                     term = term * u[b]

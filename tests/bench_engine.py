@@ -10,8 +10,8 @@ leaf-integrand callback with its slice reductions on 1e6 quadrature
 nodes, one adaptive quadrature of 4.4's innermost integral over about
 1e6 nodes, one driver round of 1.8e6 panels with a trivial integrand, one
 batch of 3.7's root body, one value-only solve of 5.2's root, and one
-evaluation each of 5.2's, 4.3's, 6.5's and 3.8's solution jets, all five
-on 20 points.  Three tooling cases run the command line in a fresh
+evaluation each of 5.2's, 4.3's, 3.5's, 6.5's and 3.8's solution jets,
+all six on 20 points.  Three tooling cases run the command line in a fresh
 interpreter.  One runs `pdegensol sample 3.8` (5x5, seed 1) and records
 the child's minor page faults and system time in extra_info: what the
 allocator costs a command-line run outside numpy.  Two record the child's own peak RSS and
@@ -213,6 +213,27 @@ def test_solution_jets_43(benchmark):
     # two top-level integrals over xi up to x share one endpoint scope
     fam = get_family("4.3")
     scn = draw_scenario(fam, _scenario_rng(1, "4.3", 0), 20)
+    iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
+    n = len(scn.points)
+    env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())
+           for i, v in enumerate(fam.variables)}
+
+    def run():
+        return eval_batch(fam.solution, env, EvalContext(iset, scn), n)
+
+    out = benchmark(run)
+    assert iset.K == 4 and out.data.shape == (4, n)
+    assert np.isfinite(out.data).all()
+
+
+def test_solution_jets_35(benchmark):
+    # 3.5's solution at its own K=4 index set on 20 points, in a fresh
+    # context per call: an elementary family whose integrals have the
+    # limits x and t, where the order-1 boundary entry meets a zero limit
+    # row, and whose xi scope meets the interior of the top-level
+    # integral over eta
+    fam = get_family("3.5")
+    scn = draw_scenario(fam, _scenario_rng(1, "3.5", 0), 20)
     iset = IndexSet(fam.variables, set(fam.deriv_orders.values()))
     n = len(scn.points)
     env = {v: JetBatch.variable(iset, v, scn.points[:, i].copy())

@@ -749,6 +749,10 @@ def test_interning_bit_identical(monkeypatch, fid):
                       engine._NodeCache(lambda e: {0: e.integrand}))
             m.setattr(engine, "_root_derivative", engine._NodeCache(
                 lambda e: X.simplify(X.differentiate(e.body, e.dummy))))
+            # column constants of the plain trees, which die with this
+            # context: the global cache must not keep their ids
+            m.setattr(engine, "_column_constants",
+                      engine._NodeCache(engine._column_constant_ids))
             plain = _solution_jets(fam, scn, iset)
         assert _same_bits(interned[0], plain[0])
         assert np.isfinite(interned[0]).all()
@@ -1326,13 +1330,21 @@ def test_real_powers_and_roots_stay_in_place(scn_inv, monkeypatch, k):
 # evaluated at the limit with a fresh eval_batch.
 
 
+def _all_orders(iset):
+    """Every dummy-derivative order a boundary entry of iset uses: the
+    live ones of a limit jet with no zero row."""
+    return iset.endpoint_orders(np.ones((iset.K, 1)))
+
+
 def _per_order_boundary(m):
     """Patch engine._ev_integral to the per-order path, nested integrals
     included.  The integral's interior comes from the engine with the upper
     limit replaced by a name bound to its values (zero derivative rows, so
     no boundary terms); each dummy derivative is then evaluated at the
-    limit with a fresh eval_batch and added with boundary_accumulate.
-    Returns the list of integrals that took the boundary terms."""
+    limit with a fresh eval_batch, every order, and added with
+    boundary_accumulate, which sums the live entries (test_jets checks
+    those against the whole table).  Returns the list of integrals that
+    took the boundary terms."""
     real = engine._ev_integral
     stand_ins = {}
     took = []
@@ -1352,7 +1364,7 @@ def _per_order_boundary(m):
         env2[lim.name] = JetBatch.constants(iset, up.data[0])
         out = real(inner, env2, ctx, n, memo)
         ejets = []
-        for k in range(iset.max_endpoint_order + 1):
+        for k in _all_orders(iset):
             gk = engine._dummy_derivative(e, k)
             eenv = {nm: env[nm] for nm in env if nm in gk.free}
             eenv[e.dummy] = JetBatch.constants(iset, up.data[0])
@@ -1452,7 +1464,7 @@ def scn_scope(scn_inv):
 @pytest.mark.parametrize("k6", [False, True], ids=["K4", "K6"])
 def test_endpoint_scope_bits(scn_scope, monkeypatch, text, top, k6):
     iset = _k6() if k6 else _isets(("t", "x"))[1]
-    assert iset.max_endpoint_order == (2 if k6 else 1)
+    assert _all_orders(iset) == ([0, 1, 2] if k6 else [0, 1])
     env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(0.3, 0.9, 5))
     got, _, keys, took = _scope_case(monkeypatch, scn_scope, text, env, iset)
     assert np.isfinite(got[0]).all() and not got[1]
@@ -1502,3 +1514,107 @@ def test_endpoint_scope_bits_on_catalog(monkeypatch, fid):
         # the two top-level int(xi, ..., x, ...) share one scope, and at
         # xi = x the three int(tau, ..., t, ...) in its memo share one more
         assert keys(0) == [[("tau", "t")], [("xi", "x")]]
+
+
+# ---------------------------------------------------------------------------
+# An endpoint scope evaluates only the dummy-derivative orders that a live
+# boundary entry uses (one whose limit rows are each nonzero in some
+# column), and an integral at its own limit reuses the interior (the
+# driver's result before lifting and boundary terms) kept in the enclosing
+# memo's interior table.  Every output bit and cause kind stays.
+
+
+@pytest.mark.parametrize("text", [
+    "int(eta, base(p1), x*t, eta*t*x)"
+    " + int(xi, base(p0), x*t, int(eta, base(p1), xi, eta*t*x))",
+    "int(xi, base(p0), x*t, int(eta, base(p1), xi, eta*t*x))"
+    " + int(eta, base(p1), x*t, eta*t*x)",
+], ids=["top-first", "scope-first"])
+@pytest.mark.parametrize("k6", [False, True], ids=["K4", "K6"])
+def test_shared_interior_is_never_written(scn_scope, monkeypatch, text, k6):
+    # the top-level integral over eta and the one in the xi scope at
+    # xi = x*t share one driver result; only the top-level one adds
+    # boundary terms, to a copy, in either order
+    iset = _k6() if k6 else _isets(("t", "x"))[1]
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 5), np.linspace(0.3, 0.9, 5))
+    shared = []
+    interior = engine._interior
+
+    def spy(e, qset, env, names, upper, ctx, memo, drive):
+        ran = []
+        data = interior(e, qset, env, names, upper, ctx, memo,
+                        lambda: ran.append(1) or drive())
+        if not ran:
+            shared.append(e)
+        return data
+
+    monkeypatch.setattr(engine, "_interior", spy)
+    got, _, _, _ = _scope_case(monkeypatch, scn_scope, text, env, iset)
+    assert np.isfinite(got[0]).all() and not got[1]
+    assert [X.to_text(e.upper) for e in shared] == \
+        (["xi"] if text.startswith("int(eta") else ["x*t"])
+
+
+@pytest.mark.parametrize("limit, order1", [("x", False), ("t", False),
+                                           ("x*t", True)])
+def test_dead_orders_are_not_built(scn_scope, monkeypatch, limit, order1):
+    # at the catalog's K=4 the one order-1 entry is g1*u_t*u_x: for a
+    # limit of x or t one of those rows is exactly zero, so g1 is never
+    # built
+    iset = IndexSet(("t", "x"), [(1, 1)])
+    assert iset.K == 4
+    env = _tx_env(iset, np.linspace(0.2, 1.2, 4), np.linspace(0.3, 0.9, 4))
+    text = (f"int(xi, base(p0), {limit}, exp(xi*t)*F(xi))"
+            f" + int(xi, base(p1), {limit}, xi^3*x*t)")
+    orders = []
+    real = engine._dummy_derivative
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_dummy_derivative",
+                  lambda e, k: orders.append(k) or real(e, k))
+        with np.errstate(all="ignore"):
+            eval_batch(parse(text, _INV_ENV), env, EvalContext(iset, scn_scope),
+                       4)
+    assert sorted(set(orders)) == ([0, 1] if order1 else [0])
+    got, _, keys, _ = _scope_case(monkeypatch, scn_scope, text, env, iset)
+    assert np.isfinite(got[0]).all() and not got[1]
+    assert keys(0) == [[("xi", limit)]]
+
+
+def test_live_boundary_entries():
+    iset = IndexSet(("t", "x"), [(1, 1)])
+    u = np.zeros((iset.K, 3))
+    u[iset.var_row("x")] = 1.0
+    assert iset.endpoint_orders(u) == [0]
+    # a NaN counts as nonzero, in one column as in all
+    u[iset.var_row("t"), 1] = np.nan
+    assert iset.endpoint_orders(u) == [0, 1]
+    assert sum(map(len, iset.live_boundary(u))) == \
+        sum(map(len, iset._boundary_table)) - 1
+    u[iset.pos[1, 1]] = 0.5
+    assert sum(map(len, iset.live_boundary(u))) == \
+        sum(map(len, iset._boundary_table))
+
+
+def test_interior_table_saves_driver_calls(monkeypatch):
+    # 3.3's xi scope evaluates int(eta, base(p1), xi, ...) at xi = x, the
+    # interior of the top-level int(eta, base(p1), x, ...): with the table
+    # the driver runs fewer times, and the report is the same
+    from pdegensol.verifier import verify_family
+    fam = get_family("3.3")
+
+    def run():
+        calls = []
+        quad = engine.adaptive_gk_batched
+        with monkeypatch.context() as m:
+            m.setattr(engine, "adaptive_gk_batched",
+                      lambda *args: calls.append(1) or quad(*args))
+            report = verify_family(fam, seed=1)
+        return report, len(calls)
+
+    table = run()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_interior",
+                  lambda e, qset, env, names, upper, ctx, memo, drive: drive())
+        plain = run()
+    assert table[0].to_json() == plain[0].to_json()
+    assert table[1] < plain[1]

@@ -1,6 +1,6 @@
 """Golden bits: the float64 patterns `pdegensol sample` prints for 4.4 and
 3.8 on a 3x3 grid at seed 1 and for 3.8 on its default 5x5 grid at seed 7,
-and the digests of two `pdegensol verify --json` reports.
+and the digests of three `pdegensol verify --json` reports.
 
 These pin the last bit of the deepest nest (4.4, five integrals) and of a
 root-bearing family (3.8) through the whole CLI path, so a change meant to
@@ -8,10 +8,12 @@ be bit-identical (a faster gather, a copy saved) is caught here if it moves
 anything.  3.8 at seed 7 runs into the quadrature's per-column panel cap
 while it solves its roots; the first verify report covers root solving
 with derivative jets, the degenerate-root test, the evaluation guards and
-variable-limit integrals.  Between them the two reports cover the four
-families whose solutions abbreviate a square root with `let`, which the
-parser expands: 5.2 in the first, 3.5, 5.1 and 7.2 in the second.  All
-of them run the engine's limits at their real values.  Re-record them
+variable-limit integrals.  Between them the first two reports cover the
+four families whose solutions abbreviate a square root with `let`, which
+the parser expands: 5.2 in the first, 3.5, 5.1 and 7.2 in the second.
+The third covers nested endpoint scopes (4.3's xi and tau scopes) and
+the integrals at their own limit that reuse an interior (3.3, 3.11 and
+4.3).  All of them run the engine's limits at their real values.  Re-record them
 only in a change that moves numerics on purpose (ROADMAP item 3 onward),
 and say so in CHANGES.md."""
 
@@ -60,6 +62,13 @@ VERIFY_LET_ARGV = ["verify", "3.5", "5.1", "7.2", "--scenarios", "1",
                    "--points", "4", "--seed", "1", "--json"]
 VERIFY_LET_SHA256 = \
     "610c0006474187ce49d31c640fa4d2e3b02147595b1a04b7de08297a628f57aa"
+# the nested endpoint scopes: 4.3's xi scope, and the tau scope in its
+# memo, and the xi scopes of 3.3 and 3.11, where an integral over eta at
+# xi = x meets the interior of the top-level one
+VERIFY_SCOPES_ARGV = ["verify", "4.3", "3.3", "3.11", "--scenarios", "1",
+                      "--points", "4", "--seed", "1", "--json"]
+VERIFY_SCOPES_SHA256 = \
+    "22d5b2591153c12f58852eb11f696bc3ee6117da0232de51c1e8c1f2febec66b"
 
 
 def _stdout(argv) -> str:
@@ -96,3 +105,8 @@ def test_verify_report_digest():
 def test_verify_let_report_digest():
     text = _stdout(VERIFY_LET_ARGV)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_LET_SHA256
+
+
+def test_verify_scopes_report_digest():
+    text = _stdout(VERIFY_SCOPES_ARGV)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SCOPES_SHA256

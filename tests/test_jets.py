@@ -329,3 +329,35 @@ def test_tan_jet_above_third_order():
                        rtol=1e-13)
     assert np.allclose(out.data[iset.pos[(5,)]],
                        8 * (1 + T2) * (2 + 15 * T2 + 15 * T2 * T2), rtol=1e-13)
+
+
+@pytest.mark.parametrize("orders", [[(1, 1)], [(2, 0), (1, 1), (0, 2)],
+                                    [(2, 1), (1, 2)]],
+                         ids=["K4", "K6", "K8"])
+def test_boundary_accumulate_sums_the_live_entries(orders):
+    # every zero pattern of the limit rows: the live entries give the
+    # whole table's sum where every endpoint jet is finite (up to the sign
+    # of a zero), and endpoint_orders names every order they use
+    iset = IndexSet(("t", "x"), orders)
+    rs = np.random.default_rng(3)
+    n = 4
+    for mask in range(1 << (iset.K - 1)):
+        u = rs.uniform(-2.0, 2.0, (iset.K, n))
+        for r in range(1, iset.K):
+            if mask >> (r - 1) & 1:
+                u[r] = 0.0
+        out = rs.uniform(-1.0, 1.0, (iset.K, n))
+        used = iset.endpoint_orders(u)
+        jets = {k: rs.uniform(-3.0, 3.0, (iset.K, n)) for k in range(4)}
+        want = out.copy()
+        for k, entries in enumerate(iset._boundary_table):
+            for order, beta_row, rows in entries:
+                want[k] += jets[order][beta_row] * np.prod(u[list(rows)],
+                                                           axis=0)
+        got = out.copy()
+        iset.boundary_accumulate(got, {k: jets[k] for k in used}, u)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert sorted({e[0] for row in iset.live_boundary(u) for e in row}) \
+            == used
+        for row, live in zip(iset._boundary_table, iset.live_boundary(u)):
+            assert [e for e in row if all(u[b].any() for b in e[2])] == live
